@@ -1,10 +1,11 @@
 """Run the paper's multi-walk solves as the benchmark's system under test.
 
 Imports the library and loads its kernels, answers one small probe solve
-(the set-up's "first correct answer"), then solves Costas order ``--order``
-once per ``--seeds`` root with ``parallel_solve_costas``, closed loop.
-Every answer is printed as one JSON line for the harness to validate; the
-last line reports peak resident memory.  With ``--trace-out`` the layer
+(the set-up's "first correct answer"), then solves Costas order
+:data:`ORDER` with :data:`WORKERS` walks once per ``--seeds`` root with
+``parallel_solve_costas``, closed loop.  Every answer is printed as one JSON
+line for the harness to validate; the last line reports peak resident
+memory.  With ``--trace-out`` the layer
 wrappers of :mod:`tracing` are installed first and the spans are written to
 that file at exit.
 """
@@ -22,6 +23,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import tracing  # noqa: E402
 
+#: The paper's experiment: Costas order 16, two independent walks per solve
+#: (one per core of the benchmark machine), first to finish wins.
+ORDER = 16
+WORKERS = 2
 #: Order of the probe solve: small enough to answer in milliseconds.
 PROBE_ORDER = 10
 
@@ -32,8 +37,6 @@ def emit(record: dict) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--order", type=int, required=True)
-    parser.add_argument("--workers", type=int, required=True)
     parser.add_argument("--probe-seed", type=int, required=True)
     parser.add_argument("--seeds", default="", help="comma-separated seed roots")
     parser.add_argument("--trace-out", default=None)
@@ -49,13 +52,13 @@ def main() -> int:
 
     _ckernels.load()
     probe = parallel_solve_costas(
-        PROBE_ORDER, n_workers=args.workers, seed_root=args.probe_seed
+        PROBE_ORDER, n_workers=WORKERS, seed_root=args.probe_seed
     )
     emit({"probe": [int(v) for v in probe.best.configuration], "solved": probe.solved})
 
     for seed in [int(s) for s in args.seeds.split(",") if s]:
         start = time.perf_counter()
-        result = parallel_solve_costas(args.order, n_workers=args.workers, seed_root=seed)
+        result = parallel_solve_costas(ORDER, n_workers=WORKERS, seed_root=seed)
         ttt = time.perf_counter() - start
         emit(
             {
@@ -73,7 +76,7 @@ def main() -> int:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     largest_child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     # ru_maxrss is in KiB on Linux; each walk runs in its own child process.
-    emit({"rss_mb": (own + args.workers * largest_child) / 1024.0})
+    emit({"rss_mb": (own + WORKERS * largest_child) / 1024.0})
     if tracer is not None:
         tracer.dump(args.trace_out)
     return 0

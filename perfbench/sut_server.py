@@ -1,10 +1,11 @@
 """Launch the asyncio solver service as the benchmark's system under test.
 
 Builds the same ``ServiceConfig`` as ``repro serve`` with its defaults,
-except for the pool size, the on-disk store and the pool's seed root, which
-the benchmark sets.  With ``--trace-out`` the layer wrappers of
-:mod:`tracing` are installed before the worker pool forks, and the spans are
-written to that file when the server exits.
+except for three: a pool of one worker (:data:`WORKERS`), and the on-disk
+store and the pool's seed root, which the benchmark passes in.  With
+``--trace-out`` the layer wrappers of :mod:`tracing` are installed before
+the worker pool forks, and the spans are written to that file when the
+server exits.
 
 Prints one JSON line (``port``, ``pid``, ``kernel_mode``) once it serves,
 then serves until SIGTERM.
@@ -23,11 +24,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import tracing  # noqa: E402
 
+#: One pool worker, so the second core serves the front-end and the load.
+WORKERS = 1
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--store", required=True)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed-root", type=int, required=True)
     parser.add_argument("--trace-out", default=None)
     args = parser.parse_args()
@@ -45,7 +48,7 @@ def main() -> int:
     kernel_mode = _ckernels.mode()
     config = ServiceConfig(
         store_path=args.store,
-        n_workers=args.workers,
+        n_workers=WORKERS,
         seed_root=args.seed_root,
         default_max_time=300.0,
         drain_timeout=10.0,

@@ -125,9 +125,32 @@ class Tracer:
                 }
             )
 
+    @staticmethod
+    def span_cost(rounds: int = 20000) -> float:
+        """Seconds one wrapped call costs over a bare call, measured in this
+        process on a no-op method."""
+
+        class Probe:
+            def noop(self) -> None:
+                return None
+
+        bare = Probe()
+        start = time.perf_counter()
+        for _ in range(rounds):
+            bare.noop()
+        untraced = time.perf_counter() - start
+        Tracer().wrap(Probe, "noop", "probe", lambda index, args, result: None)
+        start = time.perf_counter()
+        for _ in range(rounds):
+            bare.noop()
+        traced = time.perf_counter() - start
+        return max(0.0, traced - untraced) / rounds
+
     def dump(self, path: str) -> None:
+        span_cost = self.span_cost()
         with self._lock:
             data = {
+                "span_cost": span_cost,
                 "spans": self.spans,
                 "job_rids": {str(k): v for k, v in self.job_rids.items()},
                 "job_enqueued": {str(k): v for k, v in self.job_enqueued.items()},

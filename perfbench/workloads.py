@@ -35,15 +35,16 @@ ANSWER_TIMEOUT_S = 120.0
 # paper-multiwalk: the paper's experiment, Costas 16 over a fixed list of
 # walk seed roots.  Across seed lists the time-to-solution statistics differ
 # by sampling luck, so the list is fixed and the workload seed only orders it.
-PAPER_ORDER = 16
-PAPER_WORKERS = 2
+# The order and the walks per solve are fixed in sut_paper.py.
 PAPER_SLO_S = 10.0
-#: Length of the seed list per second of run time (solves take ~1.7 s).
-PAPER_SOLVES_PER_S = 0.6
+#: Length of the seed list per second of run time.  The roots 0..11 take
+#: 2.8 s on average (median 2 s), so a run of the list takes about
+#: 1.1 x its nominal length.
+PAPER_SOLVES_PER_S = 0.4
 
 # serve-hot / serve-search: the service as `repro serve` runs it, with one
-# pool worker and two client connections (the machine has two cores).
-SERVER_WORKERS = 1
+# pool worker (fixed in sut_server.py) and two client connections (the
+# machine has two cores).
 CONNECTIONS = 2
 #: Single-request latency limit of a store or construction answer.
 HOT_SLO_S = 0.010
@@ -54,20 +55,30 @@ HOT_ZIPF_S = 1.0
 #: Every BATCH_EVERY-th request of a connection is a POST /solve-batch.
 HOT_BATCH_EVERY = 10
 HOT_BATCH_ITEMS = 8
-#: Share of single requests for constructible keys sent with use_store=false.
+#: Share of single requests sent with use_store=false, so the construction
+#: tier answers them.  Their key is drawn uniformly from the constructible
+#: keys, not from the seed's Zipf ranking: a Costas construction takes 0.1 to
+#: 6 ms depending on the order, and these requests make up the p99, so a
+#: seed that made a large Costas order hot would move the p99 by half.
 HOT_CONSTRUCT_SHARE = 0.2
 
 SEARCH_RATE = 6.0
 SEARCH_SLO_S = 1.0
 #: Walk seeds of the pool are fixed for the same reason as the paper's list.
-SEARCH_SEED_ROOT = 1
+#: The root also decides how much the arrival seed matters: a long walk
+#: queues the requests behind it, and how many arrive meanwhile depends on
+#: the seed.  The root was chosen by replaying candidate roots' 180 walks
+#: through one FIFO worker and two connections under 40 arrival seeds.  For
+#: this root the quartile spread was 0.04 (p50), 0.07 (mean) and 0.07 (p90)
+#: of the median.  Root 4 gave 0.09, 0.12 and 0.19.
+SEARCH_SEED_ROOT = 28
 #: The request list repeats SEARCH_MIX.  Costas 13 fills the latency
 #: distribution from about its 40th to its 95th percentile, so the median
 #: and p90 fall inside one instance's spread, not in a gap between
 #: instances.  Queens 24 and Costas 11 and 12 make up the fast part.  The
 #: heavy-tailed Costas 14 and all-interval 12 are one request in forty each.
-#: The walks average about 30 ms per request, so at SEARCH_RATE the single
-#: pool worker is about 20 % busy.
+#: The walks average about 28 ms per request, so at SEARCH_RATE they keep
+#: the single pool worker about 17 % busy.
 _C11, _C12, _C13, _C14 = (("costas", n) for n in (11, 12, 13, 14))
 _Q24, _AI12 = ("queens", 24), ("all-interval", 12)
 _CYCLE = (
@@ -110,8 +121,6 @@ def run_paper(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         last = launch == launches - 1
         args = [
             str(HERE / "sut_paper.py"),
-            "--order", str(PAPER_ORDER),
-            "--workers", str(PAPER_WORKERS),
             "--probe-seed", str(seed),
             "--seeds", ",".join(map(str, roots)) if last else "",
         ]
@@ -184,10 +193,14 @@ def run_paper(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
             intervals += [tuple(w["run_spec"]) for w in walks if w["job"] == i]
             end = record["start"] + record["ttt"]
             uncovered.append(record["ttt"] - tracing.covered(intervals, record["start"], end))
+        traced_spans = sum(
+            i in listed or span[tracing.JOB] in listed for i, span in enumerate(spans)
+        )
         outcome.layers = walk_layers(walks, list(winners.values()), ttts)
         outcome.layers.update(
             {
                 "multiwalk.overhead_ms": 1e3 * median(overhead),
+                "trace.overhead_ms": 1e3 * data["span_cost"] * traced_spans / len(records),
                 "trace.uncovered_p50_ms": 1e3 * median(uncovered),
             }
         )
@@ -218,7 +231,6 @@ class Server:
         args = [
             str(HERE / "sut_server.py"),
             "--store", str(store),
-            "--workers", str(SERVER_WORKERS),
             "--seed-root", str(seed_root),
         ]
         if trace_out:
@@ -350,8 +362,9 @@ def service_layers(
     served: ServedRun,
     singles: List[Dict[str, Any]],
     latencies: List[float],
+    answers: int,
 ) -> Dict[str, float]:
-    """Per-layer metrics of a traced service pass.
+    """Per-layer metrics of a traced service pass over *answers* answers.
 
     Spans and walks that served only the set-up probe are left out, so a
     layer the workload itself does not use reads 0.
@@ -422,6 +435,7 @@ def service_layers(
             "api.service_ms": 1e3 * median([r["elapsed"] for r in singles]),
             "http.overhead_p50_ms": 1e3 * median(overhead),
             "http.overhead_p99_ms": 1e3 * pct(overhead, 99),
+            "trace.overhead_ms": 1e3 * data["span_cost"] * sum(keep) / answers,
             "trace.uncovered_p50_ms": 1e3 * median(uncovered),
         }
     )
@@ -485,6 +499,7 @@ def populate(path: Path, keys: List[Tuple[str, int]]) -> None:
 
 def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
     keys = hot_keys()
+    constructible = [key for key in keys if key[0] != "magic-square"]
     seeded = harness.fresh_dir("seed-store") / "hot.db"
     populate(seeded, keys)
     ranked = list(keys)
@@ -523,10 +538,13 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
                          "sent": start, "done": time.perf_counter()}
                     )
                     continue
-                kind, order = draw()
-                body = {"kind": kind, "order": order, "wait": True}
-                if kind != "magic-square" and rng.random() < HOT_CONSTRUCT_SHARE:
-                    body["use_store"] = False
+                if rng.random() < HOT_CONSTRUCT_SHARE:
+                    kind, order = rng.choice(constructible)
+                    body = {"kind": kind, "order": order, "use_store": False}
+                else:
+                    kind, order = draw()
+                    body = {"kind": kind, "order": order}
+                body["wait"] = True
                 start = time.perf_counter()
                 status, raw = call(conn, "POST", "/solve", body)
                 singles.append(
@@ -590,7 +608,7 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
     outcome = Outcome(attempted, failed, invalid, e2e, named)
     if trace_out:
         data = tracing.load(str(trace_out))
-        outcome.layers = service_layers(data, served, good, latencies)
+        outcome.layers = service_layers(data, served, good, latencies, attempted)
     return outcome
 
 
@@ -731,7 +749,7 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
     if trace_out:
         data = tracing.load(str(trace_out))
         good = [r for r in records if "elapsed" in r]
-        outcome.layers = service_layers(data, served, good, latencies)
+        outcome.layers = service_layers(data, served, good, latencies, count)
         outcome.layers["loadgen.lag_p99_ms"] = lag_p99_ms
     return outcome
 

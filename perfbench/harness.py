@@ -4,6 +4,7 @@ record, child processes, statistics and solution validation."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import queue
@@ -13,6 +14,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -181,6 +183,89 @@ def child_pids(pid: int) -> List[int]:
         if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
             out.append(int(entry.name))
     return out
+
+
+# ----------------------------------------------------------------- host speed
+#: What the calibration loop takes on the reference host.  Reported times are
+#: measured times scaled by REFERENCE_PROBE_S / (the loop's mean time around
+#: them, see HostSpeed), so they read as times on a host of that speed.
+REFERENCE_PROBE_S = 0.004
+#: Steps of the calibration loop, and how many times one sample repeats it.
+PROBE_STEPS = 8000
+PROBE_REPEATS = 3
+
+
+def probe() -> float:
+    """Seconds the calibration loop takes now: the fastest of a few repeats.
+
+    The loop mixes interpreted integer work with small NumPy slices, like the
+    walk and the service do.  The fastest repeat drops a repeat that a
+    context switch interrupted.
+    """
+    import numpy as np
+
+    table = np.arange(64)
+    best = float("inf")
+    for _ in range(PROBE_REPEATS):
+        start = time.perf_counter()
+        acc = 0
+        for step in range(PROBE_STEPS):
+            acc += int(table[step & 63]) ^ step
+            if step % 7 == 0:
+                acc += int(table[step % 13 : step % 13 + 8].sum())
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class HostSpeed:
+    """Calibration samples of one run, taken while the system under test is
+    idle, and the factor that scales the run's times to the reference host.
+
+    Each core of this shared host flips, independently and within seconds,
+    between a fast state and one about 2x slower, and the share of time spent
+    slow drifts from minute to minute.  A sample therefore times the loop on
+    every core in turn, and a factor comes from the mean of the samples,
+    which follows that share (a median would snap to one state).  Replaying
+    one solve for minutes, this scaling cut the spread of 12-solve means
+    from 0.25 to 0.07 of their median.
+    """
+
+    #: Samples this far outside an interval still count for it.  Replaying
+    #: ten minutes of the paper's solves, a margin of 1 s left the p50, mean
+    #: and p90 of 12 solves with spreads of 0.04, 0.07 and 0.09; 0.2 s gave
+    #: 0.08, 0.08 and 0.10, and 3 s gave 0.05, 0.08 and 0.12.
+    MARGIN_S = 1.0
+
+    def __init__(self) -> None:
+        #: ``(perf_counter at the loop's midpoint, seconds it took)``, one
+        #: entry per core per sample.
+        self.samples: List[List[float]] = []
+
+    def sample(self) -> None:
+        cores = os.sched_getaffinity(0)
+        try:
+            for core in sorted(cores):
+                os.sched_setaffinity(0, {core})
+                start = time.perf_counter()
+                took = probe()
+                self.samples.append([start + took / 2, took])
+        finally:
+            os.sched_setaffinity(0, cores)
+
+    def factor(self, start: float = -math.inf, end: float = math.inf) -> float:
+        """Reference seconds per measured second over ``[start, end]``, from
+        the samples within MARGIN_S of it or else the nearest one on each
+        side; by default over the whole run."""
+        if not self.samples:
+            raise BenchError("no host-speed samples were taken")
+        low, high = start - self.MARGIN_S, end + self.MARGIN_S
+        near = [took for at, took in self.samples if low <= at <= high]
+        if not near:
+            before = [(at, took) for at, took in self.samples if at < low]
+            after = [(at, took) for at, took in self.samples if at > high]
+            near = [max(before)[1]] if before else []
+            near += [min(after)[1]] if after else []
+        return REFERENCE_PROBE_S / statistics.fmean(near)
 
 
 # ----------------------------------------------------------------- statistics

@@ -7,8 +7,9 @@ Run from the root of a checkout::
 ``--trace 0`` measures the end-to-end metrics of BENCHMARK.json.  ``--trace 1``
 runs the workload untraced and then again with spans recorded around every
 layer, and reports the per-layer metrics (a layer that does no work in the
-workload reads 0).  Human-readable lines come first; the last line of stdout
-is the JSON result.  Every run also writes its full record, with the
+workload reads 0).  Times and rates are scaled to a reference host speed
+(``harness.HostSpeed``).  Human-readable lines come first; the last line of
+stdout is the JSON result.  Every run also writes its full record, with the
 environment it ran in, to ``.perfbench/results/``.
 
 Exit codes: 0 on a valid run, 1 when any returned solution was invalid, 2
@@ -62,7 +63,13 @@ def main(argv=None) -> int:
         values = base.e2e
     else:
         declared = spec["per_layer"]
-        values = traced.layers
+        # Layer times are scaled to the reference host by the traced pass's
+        # factor, as the end-to-end times are by their own (harness.HostSpeed).
+        scale = {"ms": traced.host_factor, "us": traced.host_factor, "1/s": 1 / traced.host_factor}
+        values = {
+            m["name"]: traced.layers.get(m["name"], 0.0) * scale.get(m["unit"], 1.0)
+            for m in declared
+        }
         # The difference of two passes includes their run-to-run spread, so
         # it is printed for reference; trace.overhead_ms is measured in the
         # traced pass itself.

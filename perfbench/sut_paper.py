@@ -4,8 +4,9 @@ Imports the library and loads its kernels, answers one small probe solve
 (the set-up's "first correct answer"), then solves Costas order
 :data:`ORDER` with :data:`WORKERS` walks once per ``--seeds`` root with
 ``parallel_solve_costas``, closed loop.  Every answer is printed as one JSON
-line for the harness to validate; the last line reports peak resident
-memory.  With ``--trace-out`` the layer
+line for the harness to validate.  Before each solve and after the last, no
+walk runs, so a host-speed sample is taken; the samples, stamped with the
+same monotonic clock as the solves, are printed after the last answer.  The last line reports peak resident memory.  With ``--trace-out`` the layer
 wrappers of :mod:`tracing` are installed first and the spans are written to
 that file at exit.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import harness  # noqa: E402
 import tracing  # noqa: E402
 
 #: The paper's experiment: Costas order 16, two independent walks per solve
@@ -56,7 +58,10 @@ def main() -> int:
     )
     emit({"probe": [int(v) for v in probe.best.configuration], "solved": probe.solved})
 
-    for seed in [int(s) for s in args.seeds.split(",") if s]:
+    seeds = [int(s) for s in args.seeds.split(",") if s]
+    speed = harness.HostSpeed()
+    for seed in seeds:
+        speed.sample()
         start = time.perf_counter()
         result = parallel_solve_costas(ORDER, n_workers=WORKERS, seed_root=seed)
         ttt = time.perf_counter() - start
@@ -72,6 +77,9 @@ def main() -> int:
                 "walks": [[int(r.iterations), float(r.wall_time)] for r in result.results],
             }
         )
+    if seeds:
+        speed.sample()
+        emit({"speed": speed.samples})
 
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     largest_child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss

@@ -31,6 +31,18 @@ HERE = Path(__file__).resolve().parent
 SETUP_LAUNCHES = 5
 #: Longest a single answer may take before the run is declared broken.
 ANSWER_TIMEOUT_S = 120.0
+#: Least time between two host-speed samples while serve-hot runs (each
+#: sample pauses both connections).
+PROBE_EVERY_S = 1.0
+#: The same for serve-search, which samples only while no request is open,
+#: so it can sample often enough that most requests have a sample right
+#: before and right after them.
+SEARCH_PROBE_EVERY_S = 0.2
+#: The open loop samples only in a gap at least this long before its next
+#: send, so the sample ends before the send is due.
+PROBE_CLEAR_S = 0.08
+#: How often a waiting open-loop sender looks for such a gap.
+PROBE_POLL_S = 0.01
 
 # paper-multiwalk: the paper's experiment, Costas 16 over a fixed list of
 # walk seed roots.  Across seed lists the time-to-solution statistics differ
@@ -63,6 +75,11 @@ HOT_BATCH_ITEMS = 8
 HOT_CONSTRUCT_SHARE = 0.2
 
 SEARCH_RATE = 6.0
+#: Each send is due at its slot of the constant rate, moved by up to this
+#: share of the gap either way.  Poisson arrivals made every latency
+#: statistic depend on how many requests the seed put behind the longest
+#: walks: across seeds the p50 moved by a fifth and the p90 by a third.
+SEARCH_JITTER = 0.1
 SEARCH_SLO_S = 1.0
 #: Walk seeds of the pool are fixed for the same reason as the paper's list.
 #: The root also decides how much the arrival seed matters: a long walk
@@ -103,6 +120,9 @@ class Outcome:
     e2e: Dict[str, float]
     #: The same measurements under the workload's own names, with units.
     named: Dict[str, Tuple[float, str]]
+    #: Reference seconds per measured second over the whole pass (see
+    #: harness.HostSpeed); the end-to-end times are already scaled by it.
+    host_factor: float
     #: Per-layer metrics (traced passes only).
     layers: Dict[str, float] = field(default_factory=dict)
     #: Human-readable detail lines.
@@ -115,8 +135,10 @@ def run_paper(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
     roots = list(range(max(2, round(seconds * PAPER_SOLVES_PER_S))))
     random.Random(seed).shuffle(roots)
     launches = 1 if trace_out else SETUP_LAUNCHES
-    setups: List[float] = []
+    speed = harness.HostSpeed()
+    launched: List[Tuple[float, float]] = []
     records: List[Dict[str, Any]] = []
+    rss = 0.0
     for launch in range(launches):
         last = launch == launches - 1
         args = [
@@ -126,26 +148,36 @@ def run_paper(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         ]
         if trace_out and last:
             args += ["--trace-out", str(trace_out)]
+        speed.sample()
         start = time.perf_counter()
         child = Child(args, work / "sut.log")
         try:
             probe = child.record(ANSWER_TIMEOUT_S)
             if harness.count_invalid([("costas", probe["probe"])]):
                 raise BenchError("set-up probe returned an invalid Costas array")
-            setups.append(time.perf_counter() - start)
+            launched.append((start, time.perf_counter()))
             while last:
                 record = child.record(ANSWER_TIMEOUT_S)
-                records.append(record)
-                if "rss_mb" in record:
+                if "speed" in record:
+                    speed.samples.extend(record["speed"])
+                elif "rss_mb" in record:
+                    rss = record["rss_mb"]
                     break
+                else:
+                    records.append(record)
             child.proc.wait(timeout=ANSWER_TIMEOUT_S)
         finally:
             child.stop()
-    rss = records.pop()["rss_mb"]
-    ttts = [r["ttt"] for r in records]
+    factor = speed.factor()
+    setups = [factor * (end - start) for start, end in launched]
+    measured = [r["ttt"] for r in records]
+    # Each solve is scaled by the samples taken around it (HostSpeed.MARGIN_S):
+    # over ten minutes of solves this steadied the p50 and the p90 more than
+    # the run's factor did (0.04 and 0.09 against 0.10 and 0.13).
+    ttts = [r["ttt"] * speed.factor(r["start"], r["start"] + r["ttt"]) for r in records]
     invalid = harness.count_invalid([("costas", r["solution"]) for r in records])
     failed = invalid + sum(not r["solved"] for r in records)
-    in_slo = sum(r["solved"] and r["ttt"] <= PAPER_SLO_S for r in records) - invalid
+    in_slo = sum(r["solved"] and t <= PAPER_SLO_S for r, t in zip(records, ttts)) - invalid
     e2e = {
         "setup_s": median(setups),
         "rss_mb": rss,
@@ -160,16 +192,19 @@ def run_paper(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         "ttt_p50_s": (pct(ttts, 50), "s"),
         "ttt_mean_s": (mean(ttts), "s"),
         "ttt_p90_s": (pct(ttts, 90), "s"),
+        "measured_ttt_p50_s": (pct(measured, 50), "s"),
+        "measured_ttt_mean_s": (mean(measured), "s"),
+        "host_factor": (factor, "ratio"),
         "solves": (len(records), "count"),
         "fail_ratio": (failed / len(records), "ratio"),
         "setup_s": (e2e["setup_s"], "s"),
         "rss_mb": (rss, "MB"),
     }
-    outcome = Outcome(len(records), failed, invalid, e2e, named)
+    outcome = Outcome(len(records), failed, invalid, e2e, named, factor)
     outcome.notes = [
-        f"solve seed_root={r['seed']} ttt={r['ttt']:.4f}s "
+        f"solve seed_root={r['seed']} ttt={r['ttt']:.4f}s reference_ttt={t:.4f}s "
         f"winner_iterations={r['iterations']} winner_walk={r['walk_time']:.4f}s"
-        for r in records
+        for r, t in zip(records, ttts)
     ]
     if trace_out:
         data = tracing.load(str(trace_out))
@@ -196,7 +231,7 @@ def run_paper(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         traced_spans = sum(
             i in listed or span[tracing.JOB] in listed for i, span in enumerate(spans)
         )
-        outcome.layers = walk_layers(walks, list(winners.values()), ttts)
+        outcome.layers = walk_layers(walks, list(winners.values()), measured)
         outcome.layers.update(
             {
                 "multiwalk.overhead_ms": 1e3 * median(overhead),
@@ -268,10 +303,10 @@ PROBE = {"kind": "queens", "order": 8, "use_store": False, "use_constructions": 
 
 def launch(
     store: Path, seed_root: int, work: Path, trace_out: Optional[Path]
-) -> Tuple[Server, float, str]:
+) -> Tuple[Server, Tuple[float, float], str]:
     """Start a server and time it from launch to its first correct answer.
 
-    Returns the server, the set-up time and the probe's request id.
+    Returns the server, the set-up interval and the probe's request id.
     """
     start = time.perf_counter()
     server = Server(store, seed_root, work / "sut.log", trace_out)
@@ -285,7 +320,7 @@ def launch(
     except BaseException:
         server.stop()
         raise
-    return server, time.perf_counter() - start, answer["request_id"]
+    return server, (start, time.perf_counter()), answer["request_id"]
 
 
 @dataclass
@@ -297,27 +332,34 @@ class ServedRun:
     rss_mb: float
     stats: Dict[str, Any]
     probe_rid: str
+    speed: harness.HostSpeed
 
 
 def serve(
     seed_root: int,
     trace_out: Optional[Path],
     make_store: Callable[[Path], Path],
-    drive: Callable[[Server], Dict[str, Any]],
+    drive: Callable[[Server, harness.HostSpeed], Dict[str, Any]],
 ) -> ServedRun:
     """Launch (several times when timing set-up), drive the last server,
-    collect its counters and memory, and stop it."""
+    collect its counters and memory, and stop it.
+
+    The host speed is sampled before every launch; *drive* samples it while
+    it drives, at moments the server is idle.
+    """
     work = harness.fresh_dir("service")
     launches = 1 if trace_out else SETUP_LAUNCHES
-    setups = []
+    speed = harness.HostSpeed()
+    launched = []
     for index in range(launches):
         store = make_store(work / f"store{index}.db")
-        server, setup, probe_rid = launch(store, seed_root, work, trace_out)
-        setups.append(setup)
+        speed.sample()
+        server, span, probe_rid = launch(store, seed_root, work, trace_out)
+        launched.append(span)
         if index < launches - 1:
             server.stop()
     try:
-        result = drive(server)
+        result = drive(server, speed)
         conn = server.connect()
         status, raw = call(conn, "GET", "/stats")
         conn.close()
@@ -326,7 +368,8 @@ def serve(
         rss = harness.peak_rss_mb(server.pid)
     finally:
         server.stop()
-    return ServedRun(result, median(setups), rss, json.loads(raw), probe_rid)
+    setups = [speed.factor() * (end - start) for start, end in launched]
+    return ServedRun(result, median(setups), rss, json.loads(raw), probe_rid, speed)
 
 
 def answer_ok(status: int, payload: Optional[Dict[str, Any]]) -> bool:
@@ -514,20 +557,44 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         shutil.copyfile(seeded, path)
         return path
 
-    def drive(server: Server) -> Dict[str, Any]:
+    def drive(server: Server, speed: harness.HostSpeed) -> Dict[str, Any]:
         singles: List[Dict[str, Any]] = []
         batches: List[Dict[str, Any]] = []
+        paused: List[float] = []
+        pace = {"next": 0.0}
+
+        def calibrate() -> None:
+            start = time.perf_counter()
+            speed.sample()
+            pace["next"] = time.perf_counter() + PROBE_EVERY_S
+            paused.append(pace["next"] - PROBE_EVERY_S - start)
+
+        # Both connections stop at the barrier for each host-speed sample,
+        # so the server is idle while the calibration loop runs.
+        barrier = threading.Barrier(CONNECTIONS, action=calibrate)
+        calibrate()
         deadline = time.perf_counter() + seconds
 
         def client(index: int) -> None:
             rng = random.Random(seed * 1000 + index)
             conn = server.connect()
+            try:
+                closed_loop(conn, rng)
+            except threading.BrokenBarrierError:
+                pass  # the other connection reached the deadline
+            finally:
+                barrier.abort()
+                conn.close()
 
+        def closed_loop(conn: http.client.HTTPConnection, rng: random.Random) -> None:
             def draw() -> Tuple[str, int]:
                 return ranked[bisect.bisect(cumulative, rng.random() * total)]
 
             sent = 0
             while time.perf_counter() < deadline:
+                if time.perf_counter() >= pace["next"]:
+                    barrier.wait(ANSWER_TIMEOUT_S)
+                    continue
                 sent += 1
                 if sent % HOT_BATCH_EVERY == 0:
                     items = [dict(zip(("kind", "order"), draw())) for _ in range(HOT_BATCH_ITEMS)]
@@ -551,14 +618,17 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
                     {"kind": kind, "status": status, "raw": raw,
                      "sent": start, "done": time.perf_counter()}
                 )
-            conn.close()
 
         start = time.perf_counter()
         run_clients(CONNECTIONS, client)
-        return {"singles": singles, "batches": batches, "elapsed": time.perf_counter() - start}
+        elapsed = time.perf_counter() - start
+        speed.sample()
+        # The time paused for samples is not serving time; the first sample
+        # was taken before the clock started.
+        return {"singles": singles, "batches": batches, "active": elapsed - sum(paused[1:])}
 
     served = serve(seed, trace_out, make_store, drive)
-    result, setup, rss = served.result, served.setup_s, served.rss_mb
+    result, setup, rss, speed = served.result, served.setup_s, served.rss_mb, served.speed
     singles, answers, failed = [], [], 0
     for record in result["singles"]:
         payload = json.loads(record.pop("raw")) if record["status"] == 200 else None
@@ -582,9 +652,11 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
     invalid = harness.count_invalid(answers)
     failed += invalid
     attempted = len(singles) + items
-    latencies = [r["done"] - r["sent"] for r in singles]
+    measured = [r["done"] - r["sent"] for r in singles]
+    factor = speed.factor()
+    latencies = [factor * t for t in measured]
     good = [r for r in singles if "elapsed" in r]
-    in_slo = sum(r["done"] - r["sent"] <= HOT_SLO_S for r in good)
+    in_slo = sum("elapsed" in r and t <= HOT_SLO_S for r, t in zip(singles, latencies))
     e2e = {
         "setup_s": setup,
         "rss_mb": rss,
@@ -592,23 +664,26 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         "p50_ms": 1e3 * pct(latencies, 50),
         "mean_ms": 1e3 * mean(latencies),
         "tail_ms": 1e3 * pct(latencies, 99),
-        "items_per_s": (attempted - failed) / result["elapsed"],
+        "items_per_s": (attempted - failed) / (result["active"] * factor),
         "slo_ratio": max(0, in_slo - invalid) / len(singles),
     }
     named = {
         "hot_p50_ms": (e2e["p50_ms"], "ms"),
         "hot_p99_ms": (e2e["tail_ms"], "ms"),
         "hot_items_per_s": (e2e["items_per_s"], "1/s"),
+        "measured_hot_p50_ms": (1e3 * pct(measured, 50), "ms"),
+        "measured_hot_p99_ms": (1e3 * pct(measured, 99), "ms"),
+        "host_factor": (factor, "ratio"),
         "singles": (len(singles), "count"),
         "batch_items": (items, "count"),
         "fail_ratio": (failed / attempted, "ratio"),
         "setup_s": (setup, "s"),
         "rss_mb": (rss, "MB"),
     }
-    outcome = Outcome(attempted, failed, invalid, e2e, named)
+    outcome = Outcome(attempted, failed, invalid, e2e, named, factor)
     if trace_out:
         data = tracing.load(str(trace_out))
-        outcome.layers = service_layers(data, served, good, latencies, attempted)
+        outcome.layers = service_layers(data, served, good, measured, attempted)
     return outcome
 
 
@@ -616,8 +691,10 @@ def run_hot(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
 def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
     count = max(1, round(SEARCH_RATE * seconds))
     rng = random.Random(seed)
-    # Poisson arrivals conditioned on their count: sorted uniform times.
-    due = sorted(rng.uniform(0.0, seconds) for _ in range(count))
+    # A constant rate, each send moved by a seed-drawn jitter (see
+    # SEARCH_JITTER); the order of sends stays the list order.
+    gap = 1.0 / SEARCH_RATE
+    due = [gap * (k + rng.uniform(-SEARCH_JITTER, SEARCH_JITTER)) + gap for k in range(count)]
     bodies = []
     for index in range(count):
         kind, order = SEARCH_MIX[index % len(SEARCH_MIX)]
@@ -634,7 +711,7 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
             }
         )
 
-    def drive(server: Server) -> Dict[str, Any]:
+    def drive(server: Server, speed: harness.HostSpeed) -> Dict[str, Any]:
         records: List[Dict[str, Any]] = [{} for _ in range(count)]
         cursor = iter(range(count))
         lock = threading.Lock()
@@ -643,6 +720,8 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         # with the same walk seed in every run.
         turn = threading.Condition()
         last = {"index": -1, "sent": 0.0}
+        flight = {"open": 0, "next_sample": 0.0}
+        speed.sample()
         origin = time.perf_counter() + 0.05
 
         def client(index: int) -> None:
@@ -658,13 +737,29 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
                     if not turn.wait_for(lambda: last["index"] == k - 1, ANSWER_TIMEOUT_S):
                         raise BenchError(f"request {k - 1} was never sent")
                     ready = max(scheduled, free, last["sent"] + SEND_GAP_S)
-                    pause = ready - time.perf_counter()
-                    if pause > 0:
-                        time.sleep(pause)
+                    while True:
+                        now = time.perf_counter()
+                        if now >= ready:
+                            break
+                        # Sample the host speed in a gap with no request
+                        # open that ends well after the sample would.
+                        if (
+                            flight["open"] == 0
+                            and ready - now > PROBE_CLEAR_S
+                            and now >= flight["next_sample"]
+                        ):
+                            speed.sample()
+                            flight["next_sample"] = time.perf_counter() + SEARCH_PROBE_EVERY_S
+                            continue
+                        time.sleep(min(ready - now, PROBE_POLL_S))
                     sent = time.perf_counter()
                     last.update(index=k, sent=sent)
+                    with lock:
+                        flight["open"] += 1
                     turn.notify_all()
                 status, raw = call(conn, "POST", "/solve", bodies[k])
+                with lock:
+                    flight["open"] -= 1
                 records[k] = {
                     "kind": bodies[k]["kind"],
                     "order": bodies[k]["order"],
@@ -679,10 +774,11 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
             conn.close()
 
         run_clients(CONNECTIONS, client)
+        speed.sample()
         return {"records": records, "origin": origin}
 
     served = serve(SEARCH_SEED_ROOT, trace_out, lambda p: p, drive)
-    result, setup, rss = served.result, served.setup_s, served.rss_mb
+    result, setup, rss, speed = served.result, served.setup_s, served.rss_mb, served.speed
     records = result["records"]
     answers, failed = [], 0
     for record in records:
@@ -698,7 +794,11 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
             )
     invalid = harness.count_invalid(answers)
     failed += invalid
-    latencies = [r["done"] - r["scheduled"] for r in records]
+    measured = [r["done"] - r["scheduled"] for r in records]
+    factor = speed.factor()
+    latencies = [
+        (r["done"] - r["scheduled"]) * speed.factor(r["scheduled"], r["done"]) for r in records
+    ]
     # Lag is how late the sender fired once a connection was free and the
     # previous request was out.  Waiting for a free connection is the
     # server's slowness and is already charged to the latency, which runs
@@ -710,9 +810,8 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
             f"open-loop sender fired {lag_p99_ms:.1f} ms late (p99), over the "
             f"{LAG_BOUND_MS:.0f} ms bound: the run is invalid"
         )
-    in_slo = sum(
-        "elapsed" in r and r["done"] - r["scheduled"] <= SEARCH_SLO_S for r in records
-    )
+    in_slo = sum("elapsed" in r and t <= SEARCH_SLO_S for r, t in zip(records, latencies))
+    # The arrival schedule sets the answer rate, so it is not scaled.
     span = max(r["done"] for r in records) - result["origin"]
     e2e = {
         "setup_s": setup,
@@ -729,6 +828,10 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         "search_p90_ms": (e2e["tail_ms"], "ms"),
         "search_p95_ms": (1e3 * pct(latencies, 95), "ms"),
         "search_slo_ratio": (e2e["slo_ratio"], "ratio"),
+        "measured_search_p50_ms": (1e3 * pct(measured, 50), "ms"),
+        "measured_search_p90_ms": (1e3 * pct(measured, 90), "ms"),
+        "host_factor": (factor, "ratio"),
+        "host_samples": (len(speed.samples), "count"),
         "requests": (count, "count"),
         "loadgen_lag_p99_ms": (lag_p99_ms, "ms"),
         "connection_wait_p99_ms": (conn_wait_p99_ms, "ms"),
@@ -736,20 +839,20 @@ def run_search(seed: int, seconds: int, trace_out: Optional[Path]) -> Outcome:
         "setup_s": (setup, "s"),
         "rss_mb": (rss, "MB"),
     }
-    outcome = Outcome(count, failed, invalid, e2e, named)
+    outcome = Outcome(count, failed, invalid, e2e, named, factor)
     for kind, order in sorted(set(SEARCH_MIX)):
-        mine = [r for r in records if (r["kind"], r["order"]) == (kind, order)]
+        mine = [(r, t) for r, t in zip(records, latencies) if (r["kind"], r["order"]) == (kind, order)]
         if not mine:
             continue
         outcome.notes.append(
             f"{kind} {order}: requests={len(mine)} "
-            f"p50={1e3 * median([r['done'] - r['scheduled'] for r in mine]):.1f}ms "
-            f"iterations={sum(r.get('iterations', 0) for r in mine)}"
+            f"p50={1e3 * median([t for _, t in mine]):.1f}ms "
+            f"iterations={sum(r.get('iterations', 0) for r, _ in mine)}"
         )
     if trace_out:
         data = tracing.load(str(trace_out))
         good = [r for r in records if "elapsed" in r]
-        outcome.layers = service_layers(data, served, good, latencies, count)
+        outcome.layers = service_layers(data, served, good, measured, count)
         outcome.layers["loadgen.lag_p99_ms"] = lag_p99_ms
     return outcome
 

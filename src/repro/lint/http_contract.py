@@ -1,4 +1,4 @@
-"""HTTP retry-contract lint for the two front-ends.
+"""HTTP retry-contract lint for the asyncio front-end.
 
 Rule ``http-retry-contract``.  PRs 6 and 8 established the client-visible
 overload contract: every 429/503/504 answer tells the client *that* it may
@@ -9,12 +9,10 @@ clients in fail-fast mode during exactly the overload it should smooth.
 
 Checked response shapes:
 
-* threaded front-end — ``self._send_json(status, body, headers=...)`` calls
-  with a literal 429/503/504 status: the body must carry ``"retry"`` and the
+* ``return (status, body, close[, headers])`` tuples whose status is a
+  literal 429/503/504 (or a parameter defaulting to one, which covers the
+  shared ``_reject`` helper): the body must carry ``"retry"`` and the
   headers a ``"Retry-After"`` key;
-* asyncio front-end — ``return (status, body, close[, headers])`` tuples
-  whose status is a literal 429/503/504 (or a parameter defaulting to one,
-  which covers the shared ``_reject`` helper): same body/header duties;
 * batch item dicts — a dict literal with ``"code": 429/503/504`` must also
   carry ``"retry"`` (batch slots have no headers, so the body field is the
   whole contract).
@@ -119,35 +117,7 @@ class _FunctionCheck(ast.NodeVisitor):
             return True  # dynamic headers expression: not provably wrong
         return "Retry-After" in keys or "**" in keys
 
-    # -- threaded front-end: self._send_json(status, body, headers=...) ---
-    def visit_Call(self, node: ast.Call) -> None:
-        callee = None
-        if isinstance(node.func, ast.Attribute):
-            callee = node.func.attr
-        elif isinstance(node.func, ast.Name):
-            callee = node.func.id
-        if callee == "_send_json" and node.args:
-            status = _literal_status(node.args[0], self.retry_params)
-            if status is not None and len(node.args) >= 2:
-                label = "retryable" if status == -1 else str(status)
-                if not self._body_has_retry(node.args[1]):
-                    self._flag(
-                        node,
-                        f"{label} response body lacks the \"retry\" field "
-                        "of the PR-6/8 overload contract",
-                    )
-                headers = next(
-                    (kw.value for kw in node.keywords if kw.arg == "headers"),
-                    None,
-                )
-                if not self._headers_have_retry_after(headers):
-                    self._flag(
-                        node,
-                        f"{label} response sends no Retry-After header",
-                    )
-        self.generic_visit(node)
-
-    # -- asyncio front-end: return (status, body, close[, headers]) -------
+    # -- responses: return (status, body, close[, headers]) ---------------
     def visit_Return(self, node: ast.Return) -> None:
         value = node.value
         if isinstance(value, ast.Tuple) and len(value.elts) >= 2:

@@ -5,8 +5,8 @@ Default (no paths) run covers the repo's invariant surfaces:
 * lock analysis over the five locked service modules;
 * determinism lint over ``core/``, ``models/``, ``baselines/``,
   ``parallel/`` (``core/rng.py`` itself is the sanctioned entropy module);
-* async-safety lint over ``service/http_async.py``;
-* HTTP retry-contract lint over both front-ends;
+* async-safety and HTTP retry-contract lint over the front-end,
+  ``service/http_async.py``;
 * kernel-mirror drift check over the ``_kernels.c`` / ``_ckernels.py`` /
   ``cwalk_mirror.py`` trio.
 
@@ -89,8 +89,7 @@ _LOCKED_SERVICE_FILES = (
     "src/repro/service/api.py",
 )
 _DETERMINISM_DIRS = ("core", "models", "baselines", "parallel")
-_ASYNC_FILE = "src/repro/service/http_async.py"
-_HTTP_FILES = ("src/repro/service/http.py", "src/repro/service/http_async.py")
+_FRONTEND_FILE = "src/repro/service/http_async.py"
 _BASELINE_NAME = "lint-baseline.txt"
 
 
@@ -167,19 +166,14 @@ def _default_targets(root: Path, rules: Optional[Sequence[str]]) -> List[Finding
                 findings.extend(
                     _check_python_file(path, rel, [determinism.check_source])
                 )
-    if _checker_wanted(asyncsafety.check_source, rules):
-        path = root / _ASYNC_FILE
-        if path.exists():
-            findings.extend(
-                _check_python_file(path, _ASYNC_FILE, [asyncsafety.check_source])
-            )
-    if _checker_wanted(http_contract.check_source, rules):
-        for rel in _HTTP_FILES:
-            path = root / rel
-            if path.exists():
-                findings.extend(
-                    _check_python_file(path, rel, [http_contract.check_source])
-                )
+    frontend_checkers = [
+        checker
+        for checker in (asyncsafety.check_source, http_contract.check_source)
+        if _checker_wanted(checker, rules)
+    ]
+    path = root / _FRONTEND_FILE
+    if frontend_checkers and path.exists():
+        findings.extend(_check_python_file(path, _FRONTEND_FILE, frontend_checkers))
     if not rules or {"kernel-drift", "rng-drift"} & set(rules):
         core = root / "src" / "repro" / "core"
         drift = kernel_drift.check_files(

@@ -21,8 +21,7 @@ needs, composed of four pieces a request flows through:
    facade composing store -> algebraic-construction shortcut -> scheduler ->
    pool, exposed over stdlib HTTP by the asyncio front-end
    (:mod:`repro.service.http_async` — batch submit, SSE progress streaming,
-   thousands of concurrent waiting clients) or the legacy threaded one
-   (:mod:`repro.service.http`), and by the ``repro serve`` /
+   thousands of concurrent waiting clients) and by the ``repro serve`` /
    ``repro request`` CLI commands.
 """
 

@@ -17,7 +17,9 @@ Square — flows through three tiers, cheapest first:
 
 Every submission returns a :class:`ServiceRequest` whose ``future`` resolves
 to a :class:`ServiceResponse`; ``submit()``/``result()``/``cancel()``/
-``stats()`` are the whole surface the HTTP layer needs.
+``stats()`` are the whole surface the HTTP layer needs, and
+:func:`submit_kwargs` turns one JSON solve object into ``submit()``'s
+keywords.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "ServiceRequest",
     "ServiceResponse",
     "SolverService",
+    "submit_kwargs",
 ]
 
 
@@ -189,6 +192,8 @@ class ServiceRequest:
     kind: str
     future: Future
     ticket: Optional[Ticket] = None
+    #: ``time.perf_counter()`` at registration: where the request's service
+    #: time (``ServiceResponse.elapsed``) starts.
     submitted_at: float = field(default_factory=time.perf_counter)
     #: QoS classification the request was admitted under.
     lane: str = DEFAULT_LANE
@@ -199,6 +204,56 @@ class ServiceRequest:
 
     def done(self) -> bool:
         return self.future.done()
+
+
+def submit_kwargs(
+    obj: Any, *, priority: int = 0, tenant: Optional[str] = None
+) -> Dict[str, Any]:
+    """Turn one JSON solve object into :meth:`SolverService.submit` keywords.
+
+    *obj* is a ``POST /solve`` body or one ``POST /solve-batch`` item.
+    *priority* and *tenant* apply when the object names none (a batch's own
+    fields, the ``X-Repro-Tenant`` header).  Fields ``submit`` does not take,
+    such as ``wait``, are ignored.  A malformed field raises
+    :class:`~repro.exceptions.SolverError`, which the HTTP layer answers
+    with 400.
+    """
+    if not isinstance(obj, Mapping):
+        raise SolverError(
+            f"a solve object must be a JSON object, got {type(obj).__name__}"
+        )
+    if "order" not in obj:
+        raise SolverError('a solve object needs an "order" field')
+    try:
+        order = int(obj["order"])
+    except (TypeError, ValueError):
+        raise SolverError("order must be an integer") from None
+    try:
+        priority = int(obj.get("priority", priority))
+        max_time = obj.get("max_time")
+        max_time = float(max_time) if max_time is not None else None
+        deadline = obj.get("deadline")
+        deadline = float(deadline) if deadline is not None else None
+    except (TypeError, ValueError):
+        raise SolverError("priority/max_time/deadline must be numeric") from None
+    model_options = obj.get("model_options")
+    if model_options is not None and not isinstance(model_options, Mapping):
+        raise SolverError("model_options must be an object")
+    lane = obj.get("lane")
+    tenant = obj.get("tenant") or tenant
+    return {
+        "order": order,
+        "kind": str(obj.get("kind", "costas")),
+        "priority": priority,
+        "max_time": max_time,
+        "deadline": deadline,
+        "solver": obj.get("solver"),
+        "model_options": model_options,
+        "use_store": obj.get("use_store"),
+        "use_constructions": obj.get("use_constructions"),
+        "lane": str(lane) if lane is not None else None,
+        "tenant": str(tenant) if tenant else None,
+    }
 
 
 #: Event names that end a progress stream.
@@ -298,8 +353,8 @@ class ProgressSubscription:
 class SolverService:
     """Solver-as-a-service: persistent store, coalescing, warm workers.
 
-    Thread-safe; designed to sit behind the threaded HTTP front-end of
-    :mod:`repro.service.http` but equally usable in-process::
+    Thread-safe; designed to sit behind the HTTP front-end of
+    :mod:`repro.service.http_async` but equally usable in-process::
 
         with SolverService(ServiceConfig(store_path="solutions.db")) as svc:
             response = svc.submit(18).result(timeout=600)
@@ -373,7 +428,7 @@ class SolverService:
             resolve_portfolio(self.config.default_solver)
         )
         self._closed = False
-        self._started_at = time.time()
+        self._started_at = time.monotonic()
         #: Monotonic instant the pool was first observed with zero live
         #: workers (``None`` while any worker is alive); degraded mode only
         #: refuses once this persists past ``pool_dead_grace``.
@@ -563,7 +618,10 @@ class SolverService:
             )
 
     def _deadline_at(self, deadline: Optional[float]) -> Optional[float]:
-        """Absolute ``time.time()`` deadline for a request, or ``None``."""
+        """Absolute ``time.monotonic()`` deadline for a request, or ``None``.
+
+        The monotonic clock is system-wide, so the pool's worker processes
+        read the same deadline, and a wall-clock step cannot expire it."""
         if deadline is None:
             deadline = self.config.default_deadline
         if deadline is None:
@@ -571,7 +629,7 @@ class SolverService:
         deadline = float(deadline)
         if deadline <= 0:
             raise SolverError(f"deadline must be > 0 seconds, got {deadline}")
-        return time.time() + deadline
+        return time.monotonic() + deadline
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -723,47 +781,40 @@ class SolverService:
         """
         if self._closed:
             raise SolverError("service is closed")
-        family, kind, specs = self._resolve_selection(order, kind, solver)
-        lane_name = self._classify(lane, deadline, priority)
-        tenant = tenant or DEFAULT_TENANT
-        deadline_at = self._deadline_at(deadline)
-        self.start()
-        request = self._new_request(order, kind, lane=lane_name, tenant=tenant)
-        start = time.perf_counter()
-        if self._try_immediate(
-            request,
-            family,
-            lookup_store=use_store,
-            try_construct=use_constructions,
-            start=start,
-        ):
-            return request
-        payload = self._search_payload(
-            kind, order, specs, max_time, model_options, deadline_at,
-            lane=lane_name, tenant=tenant,
+        request, entry = self._admit_one(
+            order,
+            kind=kind,
+            priority=priority,
+            max_time=max_time,
+            deadline=deadline,
+            solver=solver,
+            model_options=model_options,
+            use_store=use_store,
+            use_constructions=use_constructions,
+            lane=lane,
+            tenant=tenant,
         )
-        key = self._instance_key(kind, order, payload)
+        if entry is None:
+            return request
+        key, payload, priority, deadline_at, lane_name, tenant_name = entry
         try:
-            self._admit_search(kind, order, lane_name)
             ticket = self.scheduler.submit(
                 key,
                 payload,
                 priority=priority,
                 deadline_at=deadline_at,
                 lane=lane_name,
-                tenant=tenant,
+                tenant=tenant_name,
             )
         except ReproError:
-            with self._lock:
-                self._requests.pop(request.request_id, None)
+            self._forget(request)
             raise
         except RuntimeError as exc:
             # The scheduler closed between our _closed check and here (a
             # request racing close()); don't leak a never-resolving entry.
-            with self._lock:
-                self._requests.pop(request.request_id, None)
+            self._forget(request)
             raise SolverError("service is closed") from exc
-        self._attach_ticket(request, ticket, start)
+        self._attach_ticket(request, ticket)
         return request
 
     def submit_batch(
@@ -775,12 +826,14 @@ class SolverService:
     ) -> List[Union[ServiceRequest, ReproError]]:
         """Submit many solve requests in **one** pass (``POST /solve-batch``).
 
-        Each *item* is a mapping with the same fields :meth:`submit` takes as
-        keywords, plus the mandatory ``"order"``.  The store and construction
-        tiers are consulted per item as usual; everything that needs the
-        search tier is admitted to the scheduler under a single lock
-        acquisition (:meth:`~repro.service.scheduler.RequestScheduler.submit_batch`),
-        so N instances pay one scheduler pass instead of N.
+        Each *item* is a JSON solve object (see :func:`submit_kwargs`):
+        the fields :meth:`submit` takes as keywords, plus the mandatory
+        ``"order"``; *priority* and *tenant* apply to items that name none.
+        The store and construction tiers are consulted per item as usual;
+        everything that needs the search tier is admitted to the scheduler
+        under a single lock acquisition
+        (:meth:`~repro.service.scheduler.RequestScheduler.submit_batch`), so
+        N instances pay one scheduler pass instead of N.
 
         Failures are **per item**, never whole-batch: the returned list is
         aligned with *items* and each slot holds either the admitted
@@ -793,118 +846,101 @@ class SolverService:
         """
         if self._closed:
             raise SolverError("service is closed")
-        self.start()
-        batch_tenant = tenant or DEFAULT_TENANT
-        outcomes: List[Union[ServiceRequest, ReproError, None]] = [None] * len(items)
+        outcomes: List[Union[ServiceRequest, ReproError]] = []
         # Identical instances inside one batch share a single store read /
         # construction call — part of the batch's amortisation.
         immediate_cache: Dict[Tuple[Any, ...], Optional[Tuple[np.ndarray, str]]] = {}
-        #: (item index, request, key, payload, priority, deadline, start time)
-        queued: List[
-            Tuple[
-                int,
-                ServiceRequest,
-                Tuple[Any, ...],
-                Dict[str, Any],
-                int,
-                Optional[float],
-                float,
-            ]
-        ] = []
+        #: (item index, request, scheduler entry) of every search-tier item.
+        queued: List[Tuple[int, ServiceRequest, Tuple[Any, ...]]] = []
         for index, item in enumerate(items):
             try:
-                if not isinstance(item, Mapping):
-                    raise SolverError(
-                        f"batch item {index} must be an object, got {type(item).__name__}"
-                    )
-                order = int(item["order"])
-                family, kind, specs = self._resolve_selection(
-                    order, str(item.get("kind", "costas")), item.get("solver")
+                request, entry = self._admit_one(
+                    **submit_kwargs(item, priority=priority, tenant=tenant),
+                    immediate_cache=immediate_cache,
                 )
-                item_priority = int(item.get("priority", priority))
-                max_time = item.get("max_time")
-                max_time = float(max_time) if max_time is not None else None
-                item_deadline = item.get("deadline")
-                deadline_at = self._deadline_at(item_deadline)
-                item_lane = item.get("lane")
-                lane_name = self._classify(
-                    str(item_lane) if item_lane is not None else None,
-                    float(item_deadline) if item_deadline is not None else None,
-                    item_priority,
-                )
-                item_tenant = str(item.get("tenant") or batch_tenant)
-                model_options = item.get("model_options")
-                if model_options is not None and not isinstance(model_options, Mapping):
-                    raise SolverError(
-                        f"batch item {index}: model_options must be an object"
-                    )
             except ReproError as exc:
-                outcomes[index] = exc
+                outcomes.append(exc)
                 continue
-            except (KeyError, TypeError, ValueError) as exc:
-                outcomes[index] = SolverError(f"invalid batch item {index}: {exc}")
-                continue
-            request = self._new_request(order, kind, lane=lane_name, tenant=item_tenant)
-            start = time.perf_counter()
-            if self._try_immediate(
-                request,
-                family,
-                lookup_store=item.get("use_store"),
-                try_construct=item.get("use_constructions"),
-                start=start,
-                immediate_cache=immediate_cache,
-            ):
-                outcomes[index] = request
-                continue
-            payload = self._search_payload(
-                kind, order, specs, max_time, model_options, deadline_at,
-                lane=lane_name, tenant=item_tenant,
-            )
-            key = self._instance_key(kind, order, payload)
-            try:
-                self._admit_search(kind, order, lane_name)
-            except ReproError as exc:
-                with self._lock:
-                    self._requests.pop(request.request_id, None)
-                outcomes[index] = exc
-                continue
-            queued.append(
-                (index, request, key, payload, item_priority, deadline_at, start)
-            )
+            outcomes.append(request)
+            if entry is not None:
+                queued.append((index, request, entry))
         if queued:
             try:
-                tickets = self.scheduler.submit_batch(
-                    [
-                        (
-                            key,
-                            payload,
-                            prio,
-                            deadline_at,
-                            request.lane if self.lanes is not None else None,
-                            request.tenant,
-                        )
-                        for _, request, key, payload, prio, deadline_at, _ in queued
-                    ]
+                tickets: List[Union[Ticket, ReproError]] = self.scheduler.submit_batch(
+                    [entry for _, _, entry in queued]
                 )
             except RuntimeError:
                 # The scheduler closed underneath the batch: fail the queued
                 # items, keep the already-resolved ones.
-                tickets = [
-                    SolverError("service is closed") for _ in queued  # type: ignore[misc]
-                ]
-            for (index, request, _, _, _, _, start), ticket in zip(queued, tickets):
+                tickets = [SolverError("service is closed") for _ in queued]
+            for (index, request, _), ticket in zip(queued, tickets):
                 if isinstance(ticket, ReproError):
-                    with self._lock:
-                        self._requests.pop(request.request_id, None)
+                    self._forget(request)
                     outcomes[index] = ticket
                 else:
-                    self._attach_ticket(request, ticket, start)
-                    outcomes[index] = request
+                    self._attach_ticket(request, ticket)
         with self._lock:
             self._batches += 1
-        return outcomes  # type: ignore[return-value]
+        return outcomes
 
     # ------------------------------------------------------- submission helpers
+    def _admit_one(
+        self,
+        order: int,
+        *,
+        kind: str,
+        priority: int,
+        max_time: Optional[float],
+        deadline: Optional[float],
+        solver: Optional[Any],
+        model_options: Optional[Mapping[str, Any]],
+        use_store: Optional[bool],
+        use_constructions: Optional[bool],
+        lane: Optional[str],
+        tenant: Optional[str],
+        immediate_cache: Optional[Dict[Tuple[Any, ...], Any]] = None,
+    ) -> Tuple[ServiceRequest, Optional[Tuple[Any, ...]]]:
+        """One request up to its scheduler admission, shared by
+        :meth:`submit` and :meth:`submit_batch`.
+
+        Validates, classifies, tries the store and construction tiers,
+        builds the search payload and passes the degraded/breaker gate.
+        Returns the registered request plus, unless an immediate tier
+        already resolved it, the scheduler entry ``(key, payload, priority,
+        deadline_at, lane, tenant)`` that admits it.  A refused request
+        raises :class:`~repro.exceptions.ReproError` and stays unregistered.
+        """
+        family, kind, specs = self._resolve_selection(order, kind, solver)
+        lane_name = self._classify(lane, deadline, priority)
+        tenant = tenant or DEFAULT_TENANT
+        deadline_at = self._deadline_at(deadline)
+        self.start()
+        request = self._new_request(order, kind, lane=lane_name, tenant=tenant)
+        if self._try_immediate(
+            request,
+            family,
+            lookup_store=use_store,
+            try_construct=use_constructions,
+            immediate_cache=immediate_cache,
+        ):
+            return request, None
+        payload = self._search_payload(
+            kind, order, specs, max_time, model_options, deadline_at,
+            lane=lane_name, tenant=tenant,
+        )
+        try:
+            self._admit_search(kind, order, lane_name)
+        except ReproError:
+            self._forget(request)
+            raise
+        key = self._instance_key(kind, order, payload)
+        return request, (key, payload, priority, deadline_at, lane_name, tenant)
+
+    def _forget(self, request: ServiceRequest) -> None:
+        """Unregister a request the scheduler or its gate refused."""
+        with self._lock:
+            self._requests.pop(request.request_id, None)
+
     def _resolve_selection(
         self, order: int, kind: str, solver: Optional[Any]
     ) -> Tuple[Any, str, List[Any]]:
@@ -981,7 +1017,6 @@ class SolverService:
         *,
         lookup_store: Optional[bool],
         try_construct: Optional[bool],
-        start: float,
         immediate_cache: Optional[Dict[Tuple[Any, ...], Any]] = None,
     ) -> bool:
         """Tiers 1+2: answer from the store or a construction; ``True`` if so.
@@ -1007,7 +1042,7 @@ class SolverService:
             if source == "construction":
                 with self._lock:
                     self._immediate["construction"] += 1
-            self._resolve(request, solution, source=source, solved=True, start=start)
+            self._resolve(request, solution, source=source, solved=True)
             return True
         # Tier 1: the persistent store (answers whole symmetry classes).
         if lookup:
@@ -1015,7 +1050,7 @@ class SolverService:
             if cached is not None:
                 if immediate_cache is not None:
                     immediate_cache[cache_key] = (cached, "store")
-                self._resolve(request, cached, source="store", solved=True, start=start)
+                self._resolve(request, cached, source="store", solved=True)
                 return True
         # Tier 2: algebraic constructions (family-specific shortcuts).
         if construct:
@@ -1030,9 +1065,7 @@ class SolverService:
                     immediate_cache[cache_key] = (solution, "construction")
                 with self._lock:
                     self._immediate["construction"] += 1
-                self._resolve(
-                    request, solution, source="construction", solved=True, start=start
-                )
+                self._resolve(request, solution, source="construction", solved=True)
                 return True
         if immediate_cache is not None:
             immediate_cache[cache_key] = None
@@ -1077,14 +1110,12 @@ class SolverService:
             "tenant": tenant,
         }
 
-    def _attach_ticket(
-        self, request: ServiceRequest, ticket: Ticket, start: float
-    ) -> None:
+    def _attach_ticket(self, request: ServiceRequest, ticket: Ticket) -> None:
         request.ticket = ticket
         with self._lock:
             self._ticket_requests[id(ticket)] = request.request_id
         ticket.future.add_done_callback(
-            lambda fut: self._on_ticket_done(request, fut, start)
+            lambda fut: self._on_ticket_done(request, fut)
         )
 
     #: Completed requests retained for ``GET /result/<id>``; beyond this the
@@ -1134,14 +1165,13 @@ class SolverService:
         *,
         source: str,
         solved: bool,
-        start: float,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
         with self._lock:
             if source == "store":
                 self._immediate["store"] += 1
             self._kind_counter_locked(request.kind, source if solved else "unsolved")
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - request.submitted_at
         self._latency["overall"].record(elapsed)
         lane_hist = self._latency.get(request.lane)
         if lane_hist is not None and request.lane != "overall":
@@ -1159,7 +1189,7 @@ class SolverService:
         if not request.future.done():
             request.future.set_result(response)
 
-    def _on_ticket_done(self, request: ServiceRequest, fut: Future, start: float) -> None:
+    def _on_ticket_done(self, request: ServiceRequest, fut: Future) -> None:
         """Scheduler ticket resolved (from the pool collector thread)."""
         if request.ticket is not None:
             with self._lock:
@@ -1179,7 +1209,6 @@ class SolverService:
             outcome.get("solution"),
             source="search",
             solved=outcome.get("solved", False),
-            start=start,
             detail=outcome.get("detail", {}),
         )
 
@@ -1298,7 +1327,7 @@ class SolverService:
             self.scheduler.fail(job, CancelledError())
             return
         deadline_at = job.deadline_at
-        deadline_expired = deadline_at is not None and time.time() >= deadline_at
+        deadline_expired = deadline_at is not None and time.monotonic() >= deadline_at
         if best is None:
             if deadline_expired:
                 self.scheduler.fail(
@@ -1578,7 +1607,7 @@ class SolverService:
             solver_solves = dict(self._solver_solves)
             kinds = {kind: dict(counters) for kind, counters in self._kinds.items()}
         return {
-            "uptime": time.time() - self._started_at,
+            "uptime": time.monotonic() - self._started_at,
             "open_requests": open_requests,
             "immediate": immediate,
             "searches_dispatched": searches,

@@ -1,14 +1,30 @@
 """Asyncio HTTP/1.1 front-end for :class:`~repro.service.api.SolverService`.
 
-The threaded front-end (:mod:`repro.service.http`) burns one OS thread per
-in-flight connection, so hundreds of ``wait=true`` clients — the shape of the
-paper's many-concurrent-searches workload — exhaust threads long before the
-service core is busy.  This module serves the **same JSON routes** on a
-single event loop (``asyncio.start_server`` plus a small hand-rolled
-HTTP/1.1 parser; no third-party web stack, per the repository's stdlib+NumPy
-dependency rule), so an idle waiting client costs one coroutine instead of
-one thread, and adds the two capabilities that need an event loop to scale:
+One event loop (``asyncio.start_server`` plus a small hand-rolled HTTP/1.1
+parser; no third-party web stack, per the repository's stdlib+NumPy
+dependency rule) serves every route, so an idle ``wait=true`` client costs
+one coroutine instead of one OS thread — the shape of the paper's
+many-concurrent-searches workload.
 
+Endpoints
+---------
+``POST /solve``
+    Body ``{"order": 18, "kind": "costas", "priority": 0, "max_time": 60,
+    "solver": "tabu", "model_options": {}, "wait": false}``; the fields
+    :func:`~repro.service.api.submit_kwargs` reads, plus ``wait``.
+    ``kind`` selects any family of the :mod:`repro.problems` registry;
+    ``solver`` any strategy of the :mod:`repro.solvers` registry, an inline
+    (``"adaptive+tabu"``) or named (``"mixed"``) portfolio, a spec object or
+    a list of them.  Returns ``200`` with the full result when it resolved
+    immediately (store / construction tier, or ``wait=true``), else ``202``
+    with ``{"request_id": ..., "status": "pending"}``.  A malformed field,
+    an unknown solver or kind, or a chunked body (only ``Content-Length``
+    bodies are supported) answers ``400``; a saturated queue, a shed
+    request, degraded mode or an open breaker ``503``; an exhausted tenant
+    quota ``429``; an expired ``deadline`` ``504`` — all three with
+    ``Retry-After`` and ``"retry": true``.  With QoS lanes enabled, optional
+    ``lane`` / ``tenant`` body fields (or the ``X-Repro-Tenant`` header)
+    classify the request.
 ``POST /solve-batch``
     Body ``{"items": [{...}, ...], "wait": false, "priority": 0}`` where each
     item takes the same fields as ``POST /solve``.  The whole batch is
@@ -17,11 +33,16 @@ one thread, and adds the two capabilities that need an event loop to scale:
     a single ``{"count": N, "results": [...]}`` JSON document whose slots are
     aligned with the items: a resolved result (``{"status": "done", ...}``),
     a pending ticket (``{"status": "pending", "request_id": ...}``), or a
-    **per-item** error (``{"status": "error", "code": 400|503, ...}`` —
-    a malformed item or a saturated queue never fails its neighbours).
+    **per-item** error (``{"status": "error", "code": 400|429|503|504, ...}``
+    — a malformed item or a saturated queue never fails its neighbours).
     An empty item list, a non-list ``items`` or more than
     ``ServiceConfig.max_batch_items`` items is a whole-batch 400.
-
+``GET /result/<request_id>``
+    ``200`` with the result, ``202`` while pending, ``404`` for unknown ids,
+    ``409`` for cancelled requests.
+``POST /cancel/<request_id>``
+    ``200`` on success, ``404`` for unknown ids, ``409`` for requests that
+    already settled.
 ``GET /events/<request_id>``
     ``text/event-stream`` of the request's life: a ``status`` snapshot,
     throttled ``progress`` samples from the search walks (the strategy
@@ -30,14 +51,14 @@ one thread, and adds the two capabilities that need an event loop to scale:
     ``cancelled`` event, after which the stream closes.  A disconnecting
     client is detected promptly (half-close or failed write) and its
     subscription is released — no leaked callbacks.
+``GET /problems``, ``GET /stats``, ``GET /healthz``
+    The registered problem families; the combined store / scheduler / pool
+    counters; the ``ok`` / ``degraded`` / ``failing`` health report
+    (``failing`` answers ``503`` with the retry contract).
 
 Blocking service-core calls (submits, store-touching reads) cross the
 boundary via ``loop.run_in_executor``; waiting on request futures uses
 ``asyncio.wrap_future``, which costs no thread at all.
-
-:class:`AsyncServiceHTTPServer` mirrors the threaded server's surface
-(``port``, ``service``, ``start_background()``, ``stop()``), so everything
-that drives one drives the other — including the HTTP regression tests.
 """
 
 from __future__ import annotations
@@ -55,25 +76,25 @@ from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.problems import list_families
 from repro.service.api import (
-    ProgressSubscription,
     ServiceConfig,
     ServiceRequest,
     SolverService,
+    submit_kwargs,
 )
 from repro.service.faults import (
     CircuitOpenError,
     DeadlineExceededError,
     ServiceDegradedError,
 )
-from repro.service.http import _MAX_WAIT_SECONDS, _family_listing
 from repro.service.scheduler import (
     RequestSheddedError,
     SchedulerQuotaError,
     SchedulerSaturatedError,
 )
 
-__all__ = ["AsyncServiceHTTPServer", "serve_async"]
+__all__ = ["AsyncServiceHTTPServer"]
 
 #: Hard caps of the HTTP/1.1 parser (one misbehaving client must not be able
 #: to balloon the server's memory).
@@ -87,6 +108,10 @@ _SSE_KEEPALIVE = 10.0
 
 #: SSE event names that end the stream.
 _SSE_TERMINAL = frozenset({"done", "failed", "cancelled"})
+
+#: Upper bound on ``wait=true`` blocking, so a client cannot hold its
+#: connection open forever.
+_MAX_WAIT_SECONDS = 600.0
 
 
 class _BadRequest(Exception):
@@ -122,8 +147,7 @@ class _HTTPRequest:
             self.close = connection == "close"
 
     def json(self) -> Optional[Dict[str, Any]]:
-        """The body as a JSON object, ``None`` when malformed (like the
-        threaded front-end's ``_read_json``)."""
+        """The body as a JSON object, ``None`` when malformed."""
         try:
             payload = json.loads(self.body.decode("utf-8") or "{}")
         except (ValueError, UnicodeDecodeError):
@@ -135,9 +159,9 @@ class AsyncServiceHTTPServer:
     """Event-loop HTTP server owning (or borrowing) a :class:`SolverService`.
 
     The socket is bound synchronously in the constructor (so :attr:`port` is
-    immediately valid, like the threaded server); the event loop runs either
-    on a background daemon thread (:meth:`start_background` — tests, embedded
-    use) or on the calling thread (:meth:`serve_forever` — the CLI).
+    immediately valid); the event loop runs either on a background daemon
+    thread (:meth:`start_background` — tests, embedded use) or on the
+    calling thread (:meth:`serve_forever` — the CLI).
     """
 
     def __init__(
@@ -300,10 +324,9 @@ class AsyncServiceHTTPServer:
                 raise _BadRequest(f"malformed header {name.strip()!r}")
             headers[name.strip().lower()] = value.strip()
         if headers.get("transfer-encoding") is not None:
-            # Same contract as the threaded front-end: a chunked body has no
-            # Content-Length, and silently treating it as empty would solve
-            # with default parameters; reject loudly and close (the unread
-            # body would desync a reused connection).
+            # A chunked body has no Content-Length, and silently treating it
+            # as empty would solve with default parameters; reject loudly and
+            # close (the unread body would desync a reused connection).
             raise _BadRequest(
                 "unsupported Transfer-Encoding "
                 f"{headers['transfer-encoding']!r}; "
@@ -451,7 +474,8 @@ class AsyncServiceHTTPServer:
                 stats = await self._call(self.service.stats)
                 return 200, stats, False
             if path == "/problems":
-                return 200, {"problems": _family_listing()}, False
+                problems = [family.describe() for family in list_families()]
+                return 200, {"problems": problems}, False
             if path.startswith("/result/"):
                 return await self._respond_with_result(
                     path[len("/result/") :], wait=False
@@ -491,45 +515,13 @@ class AsyncServiceHTTPServer:
         self, request: _HTTPRequest
     ) -> Tuple[int, Dict[str, Any], bool]:
         payload = request.json()
-        if payload is None or "order" not in payload:
-            return 400, {"error": 'body must be JSON with an "order" field'}, False
-        try:
-            order = int(payload["order"])
-        except (TypeError, ValueError):
-            return 400, {"error": "order must be an integer"}, False
+        if payload is None:
+            return 400, {"error": "body must be a JSON object"}, False
         wait = bool(payload.get("wait", False))
-        try:
-            priority = int(payload.get("priority", 0))
-            max_time = payload.get("max_time")
-            max_time = float(max_time) if max_time is not None else None
-            deadline = payload.get("deadline")
-            deadline = float(deadline) if deadline is not None else None
-        except (TypeError, ValueError):
-            return (
-                400,
-                {"error": "priority/max_time/deadline must be numeric"},
-                False,
-            )
-        model_options = payload.get("model_options")
-        if model_options is not None and not isinstance(model_options, dict):
-            return 400, {"error": "model_options must be an object"}, False
-        lane = payload.get("lane")
-        tenant = payload.get("tenant") or request.headers.get("x-repro-tenant")
+        tenant = request.headers.get("x-repro-tenant")
         try:
             service_request: ServiceRequest = await self._call(
-                lambda: self.service.submit(
-                    order,
-                    kind=str(payload.get("kind", "costas")),
-                    priority=priority,
-                    max_time=max_time,
-                    deadline=deadline,
-                    solver=payload.get("solver"),
-                    model_options=model_options,
-                    use_store=payload.get("use_store"),
-                    use_constructions=payload.get("use_constructions"),
-                    lane=str(lane) if lane is not None else None,
-                    tenant=str(tenant) if tenant is not None else None,
-                )
+                lambda: self.service.submit(**submit_kwargs(payload, tenant=tenant))
             )
         except SchedulerQuotaError as exc:
             return self._reject(exc, exc.retry_after, status=429)
@@ -805,14 +797,3 @@ class AsyncServiceHTTPServer:
                 self._call(self.service.unsubscribe, subscription)
             )
 
-
-def serve_async(
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    *,
-    config: Optional[ServiceConfig] = None,
-    verbose: bool = True,
-) -> AsyncServiceHTTPServer:
-    """Construct a bound-but-not-serving async server (caller runs
-    ``serve_forever``), mirroring :func:`repro.service.http.serve`."""
-    return AsyncServiceHTTPServer((host, port), config=config, verbose=verbose)

@@ -118,8 +118,8 @@ class Job:
     seqno: int
     state: str = QUEUED
     tickets: List["Ticket"] = field(default_factory=list)
-    #: Absolute wall-clock (``time.time()``) deadline shared by the job's
-    #: tickets, or ``None`` when any attached request is unbounded.  A job
+    #: Absolute ``time.monotonic()`` deadline shared by the job's tickets,
+    #: or ``None`` when any attached request is unbounded.  A job
     #: still queued past its deadline is failed at pop time instead of being
     #: handed to a worker it can no longer satisfy.
     deadline_at: Optional[float] = None
@@ -245,8 +245,8 @@ class RequestScheduler:
     ) -> Ticket:
         """Admit a request; coalesce onto an in-flight job when one exists.
 
-        ``deadline_at`` is an absolute ``time.time()`` deadline; a job whose
-        every ticket carries one is abandoned (tickets failed with
+        ``deadline_at`` is an absolute ``time.monotonic()`` deadline; a job
+        whose every ticket carries one is abandoned (tickets failed with
         :class:`~repro.service.faults.DeadlineExceededError`) if it is still
         queued when the deadline passes.  Raises
         :class:`SchedulerSaturatedError` when a *new* job would exceed its
@@ -498,7 +498,7 @@ class RequestScheduler:
                         self._lane_queued[candidate.lane] -= 1
                         if (
                             candidate.deadline_at is not None
-                            and time.time() >= candidate.deadline_at
+                            and time.monotonic() >= candidate.deadline_at
                         ):
                             self._expired += 1
                             self._lane_stats[candidate.lane]["expired"] += 1

@@ -131,9 +131,9 @@ def _pool_worker(
     strategy of the :mod:`repro.solvers` registry (``None`` = Adaptive
     Search); ``params`` is the legacy engine-parameter override honoured by
     adaptive walks only — solver-specific parameters travel inside
-    ``solver``.  ``deadline_at`` is an absolute ``time.time()`` deadline that
-    caps the walk's time budget (an already-expired deadline is reported as
-    an error without solving).  ``population`` (default 1) runs that many
+    ``solver``.  ``deadline_at`` is an absolute ``time.monotonic()``
+    deadline that caps the walk's time budget (an already-expired deadline
+    is reported as an error without solving).  ``population`` (default 1) runs that many
     vectorised walks per slot in one compiled-kernel batch, reporting the
     best walk's result; solvers without population support degrade to a
     single walk.
@@ -183,7 +183,7 @@ def _pool_worker(
             max_time = spec.get("max_time")
             deadline_at = spec.get("deadline_at")
             if deadline_at is not None:
-                remaining = float(deadline_at) - time.time()
+                remaining = float(deadline_at) - time.monotonic()
                 if remaining <= 0.0:
                     result_queue.put(
                         (
@@ -255,7 +255,7 @@ class PoolJobHandle:
     results: List[SolveResult] = field(default_factory=list)
     #: walk_index -> worker slot currently running it (claimed walks only).
     running: Dict[int, int] = field(default_factory=dict)
-    #: walk_index -> ``time.time()`` of its claim (hung-walk watchdog input).
+    #: walk_index -> ``time.monotonic()`` of its claim (hung-walk watchdog input).
     claimed_at: Dict[int, float] = field(default_factory=dict)
     #: walk_index -> retry count for walks whose worker died.
     retries: Dict[int, int] = field(default_factory=dict)
@@ -545,7 +545,7 @@ class WorkerPool:
     def _on_started(self, handle: PoolJobHandle, walk_index: int, worker_id: int) -> None:
         with self._lock:
             handle.running[walk_index] = worker_id
-            handle.claimed_at[walk_index] = time.time()
+            handle.claimed_at[walk_index] = time.monotonic()
             if handle.cancelled:
                 # Cancellation raced the claim: abort this walk now.
                 self._cancel_events[worker_id].set()
@@ -650,7 +650,7 @@ class WorkerPool:
         resulting dead process flows through the ordinary liveness →
         respawn → requeue path.
         """
-        now = time.time()
+        now = time.monotonic()
         victims: List[mp.process.BaseProcess] = []
         with self._lock:
             victim_ids = set()

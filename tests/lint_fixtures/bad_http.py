@@ -2,12 +2,6 @@
 
 
 class Handler:
-    def _send_json(self, status, body, headers=None):
-        pass
-
-    def unavailable(self):
-        self._send_json(503, {"error": "overloaded"})
-
     async def throttled(self):
         return 429, {"error": "quota"}, False
 

@@ -2,21 +2,11 @@
 
 
 class Handler:
-    def _send_json(self, status, body, headers=None):
-        pass
-
-    def unavailable(self):
-        self._send_json(
-            503,
-            {"error": "overloaded", "retry": True, "retry_after": 2},
-            headers={"Retry-After": "2"},
-        )
-
     def built_up_body(self):
         body = {"error": "overloaded"}
         body["retry"] = True
         body["retry_after"] = 2
-        self._send_json(503, body, headers={"Retry-After": "2"})
+        return 503, body, False, {"Retry-After": "2"}
 
     async def throttled(self):
         return (
@@ -36,4 +26,4 @@ class Handler:
         }
 
     def success_is_unconstrained(self):
-        self._send_json(200, {"ok": True})
+        return 200, {"ok": True}, False

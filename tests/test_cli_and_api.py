@@ -223,15 +223,12 @@ class TestServiceCommands:
         assert args.orders == [18] and args.url == "http://h:1" and args.priority == 2
         args = parser.parse_args(["request", "12", "13", "14", "--batch"])
         assert args.orders == [12, 13, 14] and args.batch
-        args = parser.parse_args(["serve", "--sync"])
-        assert args.frontend_async is False
-        assert build_parser().parse_args(["serve"]).frontend_async is True
 
     def test_request_against_live_server(self, capsys, tmp_path):
         from repro.service.api import ServiceConfig
-        from repro.service.http import ServiceHTTPServer
+        from repro.service.http_async import AsyncServiceHTTPServer
 
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(tmp_path / "cli.db"), n_workers=1),
         )
@@ -257,9 +254,9 @@ class TestServiceCommands:
         """Acceptance criterion: `repro request --kind <k>` succeeds for all
         four registered families against a live server."""
         from repro.service.api import ServiceConfig
-        from repro.service.http import ServiceHTTPServer
+        from repro.service.http_async import AsyncServiceHTTPServer
 
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
                 store_path=str(tmp_path / "kinds.db"),

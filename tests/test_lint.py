@@ -95,7 +95,7 @@ class TestAsyncChecker:
 class TestHTTPContractChecker:
     def test_bad_fixture_findings(self):
         findings = check_http(_fixture("bad_http.py"), "bad_http.py")
-        assert _lines(findings, "http-retry-contract") == [9, 9, 12, 12, 15]
+        assert _lines(findings, "http-retry-contract") == [6, 6, 9]
         messages = "\n".join(f.message for f in findings)
         assert 'lacks the "retry" field' in messages
         assert "no Retry-After header" in messages

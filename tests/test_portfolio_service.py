@@ -144,9 +144,9 @@ class TestServiceSolverSelection:
 class TestHTTPSolverRoundTrip:
     @pytest.fixture()
     def server(self):
-        from repro.service.http import ServiceHTTPServer
+        from repro.service.http_async import AsyncServiceHTTPServer
 
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
                 n_workers=2, use_constructions=False, default_max_time=60.0

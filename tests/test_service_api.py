@@ -6,6 +6,7 @@ concurrent identical requests must trigger exactly **one** solve on the pool.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -15,7 +16,7 @@ import pytest
 
 from repro.costas.array import is_costas
 from repro.exceptions import SolverError
-from repro.service.api import ServiceConfig, SolverService
+from repro.service.api import ServiceConfig, SolverService, submit_kwargs
 from repro.service.scheduler import SchedulerSaturatedError
 from repro.service.workers import WorkerPool
 
@@ -318,6 +319,7 @@ class TestBatchSubmit:
         outcomes = service.submit_batch([{"order": 12}] * 8)
         assert all(o.result(timeout=10).source == "store" for o in outcomes)
         assert service.store.stats.hits == reads_before + 1
+        assert service.stats()["immediate"]["store"] == 8
 
     def test_batch_missing_order_is_a_per_item_error(self, service):
         outcomes = service.submit_batch([{"kind": "queens"}, {"order": 16, "kind": "queens"}])
@@ -327,6 +329,96 @@ class TestBatchSubmit:
     def test_batch_counts_in_stats(self, service):
         service.submit_batch([{"order": 12}])
         assert service.stats()["batches"] == 1
+
+
+@pytest.fixture()
+def idle_service():
+    """A service whose pool is never started: refusals need no workers."""
+    service = SolverService(ServiceConfig(store_path=":memory:", n_workers=1))
+    yield service
+    service.close(drain=False, timeout=0.0)
+
+
+#: Solve objects refused by ``submit_kwargs`` (one malformed field each) or
+#: by the per-item admission core (well-formed but invalid).
+_BAD_OBJECTS = {
+    "list": [12],
+    "null": None,
+    "missing-order": {"kind": "queens"},
+    "order-text": {"order": "twelve"},
+    "order-null": {"order": None},
+    "priority-text": {"order": 12, "priority": "high"},
+    "max-time-text": {"order": 12, "max_time": "fast"},
+    "deadline-text": {"order": 12, "deadline": "soon"},
+    "deadline-list": {"order": 12, "deadline": [60]},
+    "model-options-list": {"order": 12, "model_options": ["constant"]},
+    "model-options-text": {"order": 12, "model_options": "constant"},
+    "model-options-number": {"order": 12, "model_options": 1},
+    "unknown-kind": {"order": 9, "kind": "sudoku"},
+    "costas-below-min-order": {"order": 2},
+    "queens-below-min-order": {"order": 3, "kind": "queens"},
+    "unknown-solver": {"order": 9, "solver": "no-such-solver"},
+    "solver-kind-mismatch": {"order": 8, "kind": "queens", "solver": "cp"},
+    "zero-deadline": {"order": 12, "deadline": 0},
+}
+
+
+class TestOneAdmissionCore:
+    """``submit_kwargs`` is the one conversion of a JSON solve object into
+    ``submit`` keywords; ``submit`` and ``submit_batch`` share one per-item
+    core but keep their own scheduler entry points."""
+
+    @pytest.mark.parametrize("obj", list(_BAD_OBJECTS.values()), ids=list(_BAD_OBJECTS))
+    def test_bad_object_gets_one_verdict(self, idle_service, obj):
+        with pytest.raises(SolverError) as raised:
+            idle_service.submit(**submit_kwargs(obj))
+        (slot,) = idle_service.submit_batch([obj])
+        assert type(slot) is type(raised.value) and str(slot) == str(raised.value)
+        # Refused before registration and before the pool was started.
+        assert idle_service.stats()["open_requests"] == 0
+        assert not idle_service.pool.stats()["started"]
+
+    def test_keywords_bind_to_submit(self):
+        kwargs = submit_kwargs({"order": 12, "wait": True}, priority=3, tenant="acme")
+        inspect.signature(SolverService.submit).bind(None, **kwargs)
+        assert kwargs["kind"] == "costas" and "wait" not in kwargs
+        assert (kwargs["priority"], kwargs["tenant"]) == (3, "acme")
+        assert kwargs["deadline"] is None and kwargs["lane"] is None
+
+    def test_object_fields_win_and_numbers_are_coerced(self):
+        kwargs = submit_kwargs(
+            {"order": "12", "priority": "-1", "deadline": 30, "lane": 7, "tenant": "t1"},
+            priority=3,
+            tenant="acme",
+        )
+        assert (kwargs["order"], kwargs["priority"], kwargs["tenant"]) == (12, -1, "t1")
+        assert kwargs["deadline"] == 30.0 and kwargs["lane"] == "7"
+        # An empty tenant names none, so the header's tenant applies.
+        assert submit_kwargs({"order": 12, "tenant": ""}, tenant="acme")["tenant"] == "acme"
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["submit", "submit_batch"])
+    def test_each_path_keeps_its_scheduler_entry(self, idle_service, monkeypatch, batch):
+        """Neither public method calls the other: per-layer tracing wraps
+        each one separately.  The pool stays down, so admitted jobs queue."""
+        calls = []
+        monkeypatch.setattr(idle_service, "start", lambda: None)
+        for owner in (idle_service, idle_service.scheduler):
+            for name in ("submit", "submit_batch"):
+
+                def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                    calls.append(f"{type(_real.__self__).__name__}.{_name}")
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, spy)
+        item = {"order": 9, "use_store": False, "use_constructions": False}
+        if batch:
+            requests = idle_service.submit_batch([item, {**item, "order": 10}])
+        else:
+            requests = [idle_service.submit(**submit_kwargs(item))]
+        name = "submit_batch" if batch else "submit"
+        assert calls == [f"SolverService.{name}", f"RequestScheduler.{name}"]
+        assert all(r.ticket is not None and not r.done() for r in requests)
+        assert idle_service.scheduler.stats()["queued"] == len(requests)
 
 
 class TestProgressSubscriptions:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.problems import get_family, list_families
 from repro.service.api import ServiceConfig, SolverService
-from repro.service.http import ServiceHTTPServer
+from repro.service.http_async import AsyncServiceHTTPServer
 
 #: Orders small enough that even the search tier answers within seconds.
 _SERVE_ORDERS = {"costas": 12, "queens": 12, "all-interval": 10, "magic-square": 4}
@@ -39,7 +39,7 @@ def service(tmp_path):
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = ServiceHTTPServer(
+    srv = AsyncServiceHTTPServer(
         ("127.0.0.1", 0),
         config=ServiceConfig(
             store_path=str(tmp_path / "families-http.db"),
@@ -152,15 +152,13 @@ class TestHTTPAllFamilies:
     @pytest.mark.parametrize("kind", [f.name for f in list_families()])
     def test_post_solve_round_trip(self, server, kind):
         family = get_family(kind)
-        status, payload = _call(
-            server,
-            "POST",
-            "/solve",
-            {"order": _SERVE_ORDERS[kind], "kind": kind, "wait": True},
-        )
+        body = {"order": _SERVE_ORDERS[kind], "kind": kind, "wait": True}
+        status, payload = _call(server, "POST", "/solve", body)
         assert status == 200, payload
         assert payload["solved"] and payload["kind"] == kind
         assert family.validator(np.asarray(payload["solution"]))
+        status, payload = _call(server, "POST", "/solve", body)
+        assert status == 200 and payload["source"] == "store", payload
 
     def test_unknown_kind_is_400(self, server):
         status, payload = _call(

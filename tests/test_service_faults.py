@@ -1,8 +1,8 @@
 """Chaos suite: fault injection, failure policy and graceful degradation.
 
 Drives the :mod:`repro.service.faults` injection points end-to-end through
-every layer — store, scheduler, worker pool, service facade, both HTTP
-front-ends and the CLI client — and asserts the stack *degrades* instead of
+every layer — store, scheduler, worker pool, service facade, the HTTP
+front-end and the CLI client — and asserts the stack *degrades* instead of
 dying: crashed workers are respawned and their walks requeued, a sick store
 quarantines while construction-tier answers keep flowing, deadlines turn
 into 504s instead of hung futures, repeated failures trip a circuit breaker
@@ -39,8 +39,10 @@ from repro.service.faults import (
     RetryPolicy,
     ServiceDegradedError,
 )
+from repro.service.http_async import AsyncServiceHTTPServer
 from repro.service.scheduler import RequestScheduler
 from repro.service.store import SolutionStore, StoreUnavailableError
+from repro.service.workers import WorkerPool
 
 
 @pytest.fixture(autouse=True)
@@ -351,7 +353,9 @@ class TestStoreResilience:
 class TestDeadlines:
     def test_scheduler_fails_expired_queued_jobs(self):
         scheduler = RequestScheduler(max_depth=8)
-        expired = scheduler.submit(("a",), {"x": 1}, deadline_at=time.time() - 1.0)
+        expired = scheduler.submit(
+            ("a",), {"x": 1}, deadline_at=time.monotonic() - 1.0
+        )
         live = scheduler.submit(("b",), {"x": 2})
         job = scheduler.next_job(timeout=1.0)
         assert job is not None and job.key == ("b",)
@@ -363,7 +367,7 @@ class TestDeadlines:
 
     def test_coalesced_job_keeps_the_loosest_deadline(self):
         scheduler = RequestScheduler(max_depth=8)
-        now = time.time()
+        now = time.monotonic()
         scheduler.submit(("k",), {"x": 1}, deadline_at=now + 5.0)
         scheduler.submit(("k",), {"x": 1}, deadline_at=now + 50.0)
         job = scheduler.next_job(timeout=1.0)
@@ -373,6 +377,75 @@ class TestDeadlines:
         job2 = scheduler.next_job(timeout=1.0)
         assert job2.deadline_at is None
         scheduler.close()
+
+    def test_wall_clock_step_does_not_expire_queued_deadlines(self, monkeypatch):
+        """Deadlines run on the monotonic clock: stepping the wall clock an
+        hour forward (an NTP adjustment) must not expire a queued job that
+        has 60 s left."""
+        service = SolverService(ServiceConfig(store_path=":memory:", n_workers=1))
+        try:
+            ticket = service.scheduler.submit(
+                ("k",), {"x": 1}, deadline_at=service._deadline_at(60.0)
+            )
+            stepped = time.time() + 3600.0
+            monkeypatch.setattr(time, "time", lambda: stepped)
+            job = service.scheduler.next_job(timeout=1.0)
+            assert job is not None and job.key == ("k",)
+            assert not ticket.future.done()
+        finally:
+            monkeypatch.undo()
+            service.close(drain=False, timeout=0.0)
+
+    def test_wall_clock_step_does_not_fail_a_running_search(self, monkeypatch):
+        """Neither the dispatch-time nor the completion-time expiry check
+        reads the wall clock."""
+        config = ServiceConfig(store_path=":memory:", n_workers=1, default_max_time=60.0)
+        with SolverService(config) as service:
+            request = service.submit(9, deadline=60.0, use_store=False, use_constructions=False)
+            stepped = time.time() + 3600.0
+            monkeypatch.setattr(time, "time", lambda: stepped)
+            try:
+                response = request.result(timeout=60.0)
+            finally:
+                monkeypatch.undo()
+            assert response.solved and response.source == "search"
+            assert service.stats()["scheduler"]["expired"] == 0
+
+    @pytest.mark.parametrize("step", [3600.0, -3600.0])
+    def test_wall_clock_step_does_not_move_uptime(self, monkeypatch, step):
+        service = SolverService(ServiceConfig(store_path=":memory:", n_workers=1))
+        stepped = time.time() + step
+        monkeypatch.setattr(time, "time", lambda: stepped)
+        try:
+            assert 0.0 <= service.stats()["uptime"] < 60.0
+        finally:
+            monkeypatch.undo()
+            service.close(drain=False, timeout=0.0)
+
+    def test_wall_clock_step_spares_healthy_walks(self, monkeypatch):
+        """The hung-walk watchdog ages a walk from its monotonic claim stamp."""
+        done = threading.Event()
+        pool = WorkerPool(1, seed_root=13, hang_grace=0.5)
+        pool.start()
+        try:
+            handle = pool.submit(
+                {"kind": "costas", "order": 22, "params": None, "max_time": 300.0},
+                on_done=lambda h: done.set(),
+            )
+            claim_deadline = time.monotonic() + 30.0
+            while not handle.claimed_at and time.monotonic() < claim_deadline:
+                time.sleep(0.05)
+            assert handle.claimed_at, "walk never claimed"
+            stepped = time.time() + 3600.0
+            monkeypatch.setattr(time, "time", lambda: stepped)
+            assert pool._terminate_hung_walks() == 0
+            monkeypatch.undo()
+            assert handle.running and not done.is_set()
+            pool.cancel(handle)
+            assert done.wait(timeout=30.0)
+        finally:
+            monkeypatch.undo()
+            pool.shutdown(drain=False, timeout=20.0)
 
     def test_service_maps_expiry_to_deadline_error(self):
         config = ServiceConfig(
@@ -620,14 +693,13 @@ def _http_call(port, method, path, body=None, timeout=60.0):
 
 
 class TestHTTPChaos:
-    @pytest.mark.parametrize("frontend", ["sync", "async"])
-    def test_chaos_sweep_every_request_terminates(self, tmp_path, frontend):
+    def test_chaos_sweep_every_request_terminates(self, tmp_path):
         """30% worker crashes plus store write faults: every request must
         terminate with a result, a construction/store answer, or a
         well-formed error — never a hang, a leaked subscription or an
         orphan process."""
         config = ServiceConfig(
-            store_path=str(tmp_path / f"chaos-{frontend}.db"),
+            store_path=str(tmp_path / "chaos.db"),
             n_workers=2,
             default_max_time=60.0,
             fault_plan="worker.crash=0.3,store.write.locked=0.3,seed=12",
@@ -636,14 +708,7 @@ class TestHTTPChaos:
             max_walk_retries=4,
             breaker_threshold=1000,  # keep the breaker out of this test
         )
-        if frontend == "sync":
-            from repro.service.http import ServiceHTTPServer
-
-            server = ServiceHTTPServer(("127.0.0.1", 0), config=config)
-        else:
-            from repro.service.http_async import AsyncServiceHTTPServer
-
-            server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config)
+        server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config)
         server.start_background()
         service = server.service
         try:
@@ -687,12 +752,10 @@ class TestHTTPChaos:
             time.sleep(0.05)
         assert not any(p.is_alive() for p in procs), "orphan worker processes"
 
-    def test_sync_503_carries_retry_after(self, tmp_path):
-        from repro.service.http import ServiceHTTPServer
-
+    def test_degraded_503_carries_retry_after(self, tmp_path):
         path = tmp_path / "sick.db"
         path.write_bytes(b"garbage, not sqlite")
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(path), n_workers=1),
         )
@@ -713,20 +776,12 @@ class TestHTTPChaos:
         finally:
             server.stop(drain=False)
 
-    @pytest.mark.parametrize("frontend", ["sync", "async"])
-    def test_failing_healthz_carries_retry_contract(self, tmp_path, frontend):
+    def test_failing_healthz_carries_retry_contract(self, tmp_path):
         """A failing /healthz is (usually) transient — workers respawn,
         stores come back — so its 503 must keep the retry contract."""
-        if frontend == "sync":
-            from repro.service.http import ServiceHTTPServer as Server
-        else:
-            from repro.service.http_async import AsyncServiceHTTPServer as Server
-
-        server = Server(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
-            config=ServiceConfig(
-                store_path=str(tmp_path / f"hz-{frontend}.db"), n_workers=1
-            ),
+            config=ServiceConfig(store_path=str(tmp_path / "hz.db"), n_workers=1),
         )
         server.start_background()
         try:
@@ -739,8 +794,6 @@ class TestHTTPChaos:
             server.stop(drain=False)
 
     def test_async_deadline_and_health(self, tmp_path):
-        from repro.service.http_async import AsyncServiceHTTPServer
-
         server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
@@ -772,40 +825,9 @@ class TestHTTPChaos:
         finally:
             server.stop(drain=False)
 
-    def test_sync_deadline_504_carries_retry_contract(self, tmp_path):
-        from repro.service.http import ServiceHTTPServer
-
-        server = ServiceHTTPServer(
-            ("127.0.0.1", 0),
-            config=ServiceConfig(
-                store_path=str(tmp_path / "sync504.db"), n_workers=1
-            ),
-        )
-        server.start_background()
-        try:
-            status, headers, payload = _http_call(
-                server.port,
-                "POST",
-                "/solve",
-                {
-                    "order": 20,
-                    "wait": True,
-                    "deadline": 0.02,
-                    "use_store": False,
-                    "use_constructions": False,
-                },
-            )
-            assert status == 504 and payload["status"] == "deadline"
-            assert headers.get("Retry-After")
-            assert payload["retry"] is True and payload["retry_after"] >= 1
-        finally:
-            server.stop(drain=False)
-
     def test_sse_failed_terminal_when_worker_killed(self, tmp_path):
         """Regression: kill the workers under an open ``/events/<id>`` stream;
         the stream must deliver a terminal ``failed`` event and close."""
-        from repro.service.http_async import AsyncServiceHTTPServer
-
         config = ServiceConfig(
             store_path=str(tmp_path / "sse.db"),
             n_workers=1,
@@ -882,15 +904,13 @@ def _repro_env():
 
 
 class TestGracefulShutdown:
-    @pytest.mark.parametrize("frontend_flag", ["--async", "--sync"])
-    def test_sigterm_drains_and_exits_zero(self, tmp_path, frontend_flag):
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
         proc = subprocess.Popen(
             [
                 sys.executable,
                 "-m",
                 "repro.cli",
                 "serve",
-                frontend_flag,
                 "--port",
                 "0",
                 "--db",
@@ -926,8 +946,6 @@ class TestGracefulShutdown:
         """Shutdown while an /events stream is open: the subscriber gets a
         terminal event (the pending request failed by close), not a silent
         connection reset."""
-        from repro.service.http_async import AsyncServiceHTTPServer
-
         config = ServiceConfig(
             store_path=str(tmp_path / "drain.db"),
             n_workers=1,
@@ -986,11 +1004,10 @@ class TestClientRetries:
         """A degraded server answers 503 + Retry-After; the client retries,
         then reports the failure cleanly when the condition persists."""
         from repro.cli import main
-        from repro.service.http import ServiceHTTPServer
 
         path = tmp_path / "sick.db"
         path.write_bytes(b"garbage, not sqlite")
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(path), n_workers=1),
         )
@@ -1016,11 +1033,10 @@ class TestClientRetries:
 
     def test_no_retry_fails_immediately(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.service.http import ServiceHTTPServer
 
         path = tmp_path / "sick2.db"
         path.write_bytes(b"garbage, not sqlite")
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(path), n_workers=1),
         )

@@ -1,4 +1,5 @@
-"""Tests for the stdlib HTTP front-end (and the request/serve CLI plumbing)."""
+"""Tests for the HTTP front-end's /solve, /result, /cancel, /stats and
+/healthz routes."""
 
 from __future__ import annotations
 
@@ -12,12 +13,12 @@ import pytest
 
 from repro.costas.array import is_costas
 from repro.service.api import ServiceConfig
-from repro.service.http import ServiceHTTPServer
+from repro.service.http_async import AsyncServiceHTTPServer
 
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = ServiceHTTPServer(
+    srv = AsyncServiceHTTPServer(
         ("127.0.0.1", 0),
         config=ServiceConfig(
             store_path=str(tmp_path / "http.db"), n_workers=2, default_max_time=120.0
@@ -82,18 +83,25 @@ class TestEndpoints:
         assert status == 404
 
     def test_bad_body_400(self, server):
-        status, _ = _call(server, "POST", "/solve", {"not_order": 1})
-        assert status == 400
-        status, _ = _call(server, "POST", "/solve", {"order": "abc"})
-        assert status == 400
-        status, _ = _call(server, "POST", "/solve", {"order": 2})
-        assert status == 400
-        # Malformed optional fields must be a clean 400, not a dropped
-        # connection from an uncaught ValueError.
-        status, _ = _call(server, "POST", "/solve", {"order": 12, "priority": "high"})
-        assert status == 400
-        status, _ = _call(server, "POST", "/solve", {"order": 12, "max_time": "fast"})
-        assert status == 400
+        """One verdict per solve object: each malformed one is a 400 from
+        /solve and a per-item 400 slot from /solve-batch."""
+        bad_bodies = [
+            {"not_order": 1},
+            {"order": "abc"},
+            {"order": 2},
+            # Malformed optional fields must be a clean 400, not a dropped
+            # connection from an uncaught ValueError.
+            {"order": 12, "priority": "high"},
+            {"order": 12, "max_time": "fast"},
+            {"order": 12, "model_options": ["constant"]},
+            {"order": 12, "deadline": "soon"},
+        ]
+        for body in bad_bodies:
+            assert _call(server, "POST", "/solve", body)[0] == 400, body
+        status, payload = _call(server, "POST", "/solve-batch", {"items": bad_bodies})
+        assert status == 200
+        slots = [(r["status"], r["code"]) for r in payload["results"]]
+        assert slots == [("error", 400)] * len(bad_bodies), payload
 
     def test_unknown_path_404(self, server):
         assert _call(server, "GET", "/nope")[0] == 404
@@ -106,7 +114,7 @@ class TestEndpoints:
         assert {"store", "scheduler", "pool"} <= set(payload)
 
     def test_cancel_endpoint(self, tmp_path):
-        srv = ServiceHTTPServer(
+        srv = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
                 store_path=str(tmp_path / "cx.db"), n_workers=1, default_max_time=300.0
@@ -133,7 +141,7 @@ class TestEndpoints:
             srv.stop(drain=False)
 
     def test_backpressure_returns_503(self, tmp_path):
-        srv = ServiceHTTPServer(
+        srv = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
                 store_path=str(tmp_path / "bp.db"),
@@ -157,8 +165,8 @@ class TestEndpoints:
 
 class TestCoalescedBurstOverHTTP:
     def test_burst_of_identical_requests_shares_one_solve(self, server):
-        """The CI smoke scenario: a concurrent burst coalesces to one solve
-        and the second burst is answered from the store."""
+        """A concurrent burst coalesces to one solve and the second burst is
+        answered from the store."""
         results = []
         lock = threading.Lock()
 

@@ -1,13 +1,7 @@
-"""Tests for the asyncio HTTP front-end.
-
-Byte-compatibility is enforced by **reuse**: the threaded front-end's
-regression test classes (`test_service_http`, `test_service_families`) run
-here *unmodified* against :class:`AsyncServiceHTTPServer` — only the
-``server`` fixture changes.  The async-only capabilities (``POST
-/solve-batch``, ``GET /events/<id>``) get their own coverage below,
-including the error paths: malformed batch bodies, per-item failures that
-must not poison the batch, SSE disconnects mid-solve, and 503 semantics
-under batch.
+"""Tests for the HTTP front-end's event-loop capabilities: keep-alive,
+``POST /solve-batch`` and ``GET /events/<id>``, including the error paths:
+malformed batch bodies, per-item failures that must not poison the batch,
+SSE disconnects mid-solve, and 503 semantics under batch.
 """
 
 from __future__ import annotations
@@ -23,10 +17,6 @@ import pytest
 from repro.service.api import ServiceConfig
 from repro.service.http_async import AsyncServiceHTTPServer
 
-from test_service_families import TestChunkedBodiesRejected as _FamiliesChunked
-from test_service_families import TestHTTPAllFamilies as _FamiliesHTTP
-from test_service_http import TestCoalescedBurstOverHTTP as _Burst
-from test_service_http import TestEndpoints as _Endpoints
 from test_service_http import _call
 
 
@@ -43,71 +33,6 @@ def server(tmp_path):
     srv.start_background()
     yield srv
     srv.stop(drain=False)
-
-
-class TestAsyncEndpoints(_Endpoints):
-    """The whole threaded-endpoint suite, unmodified, against the async
-    server (the two tests that build their own server are overridden to
-    build the async one)."""
-
-    def test_cancel_endpoint(self, tmp_path):
-        srv = AsyncServiceHTTPServer(
-            ("127.0.0.1", 0),
-            config=ServiceConfig(
-                store_path=str(tmp_path / "cx.db"), n_workers=1, default_max_time=300.0
-            ),
-        )
-        srv.start_background()
-        try:
-            # Park the single worker on a hard order, then cancel a queued one.
-            _call(srv, "POST", "/solve", {"order": 21, "use_constructions": False})
-            status, payload = _call(
-                srv, "POST", "/solve", {"order": 22, "use_constructions": False}
-            )
-            assert status == 202
-            rid = payload["request_id"]
-            status, payload = _call(srv, "POST", f"/cancel/{rid}")
-            assert status == 200 and payload["cancelled"]
-            status, payload = _call(srv, "GET", f"/result/{rid}")
-            assert status == 409 and payload["status"] == "cancelled"
-            assert _call(srv, "POST", f"/cancel/{rid}")[0] == 409
-            assert _call(srv, "POST", "/cancel/ghost")[0] == 404
-        finally:
-            srv.stop(drain=False)
-
-    def test_backpressure_returns_503(self, tmp_path):
-        srv = AsyncServiceHTTPServer(
-            ("127.0.0.1", 0),
-            config=ServiceConfig(
-                store_path=str(tmp_path / "bp.db"),
-                n_workers=1,
-                max_queue_depth=1,
-                default_max_time=300.0,
-            ),
-        )
-        srv.start_background()
-        try:
-            _call(srv, "POST", "/solve", {"order": 23, "use_constructions": False})
-            time.sleep(0.3)
-            _call(srv, "POST", "/solve", {"order": 24, "use_constructions": False})
-            status, payload = _call(
-                srv, "POST", "/solve", {"order": 25, "use_constructions": False}
-            )
-            assert status == 503 and payload.get("retry") is True
-        finally:
-            srv.stop(drain=False)
-
-
-class TestAsyncCoalescedBurst(_Burst):
-    pass
-
-
-class TestAsyncAllFamilies(_FamiliesHTTP):
-    pass
-
-
-class TestAsyncChunkedBodiesRejected(_FamiliesChunked):
-    pass
 
 
 class TestKeepAlive:

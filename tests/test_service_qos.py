@@ -311,10 +311,10 @@ class TestLaneStats:
 @pytest.fixture(scope="module")
 def qos_server(tmp_path_factory):
     from repro.service.api import ServiceConfig
-    from repro.service.http import ServiceHTTPServer
+    from repro.service.http_async import AsyncServiceHTTPServer
 
     tmp_path = tmp_path_factory.mktemp("qos-http")
-    srv = ServiceHTTPServer(
+    srv = AsyncServiceHTTPServer(
         ("127.0.0.1", 0),
         config=ServiceConfig(
             store_path=str(tmp_path / "qos.db"),

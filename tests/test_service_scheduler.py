@@ -330,7 +330,7 @@ class TestBatchMixedDeadlines:
 
     def test_batch_join_takes_the_loosest_deadline(self):
         sched = RequestScheduler()
-        now = time.time()
+        now = time.monotonic()
         first = sched.submit(
             ("costas", 18), {"order": 18}, deadline_at=now + 100.0
         )
@@ -346,7 +346,7 @@ class TestBatchMixedDeadlines:
 
     def test_batch_unbounded_join_clears_the_deadline(self):
         sched = RequestScheduler()
-        now = time.time()
+        now = time.monotonic()
         first = sched.submit(
             ("costas", 18), {"order": 18}, deadline_at=now + 5.0
         )
@@ -358,7 +358,7 @@ class TestBatchMixedDeadlines:
 
     def test_batch_mixed_deadlines_across_distinct_keys(self):
         sched = RequestScheduler()
-        now = time.time()
+        now = time.monotonic()
         outcomes = sched.submit_batch(
             [
                 self._entry(18, deadline_at=now + 10.0),
@@ -373,7 +373,7 @@ class TestBatchMixedDeadlines:
 
     def test_deadline_loosening_and_priority_bump_compose(self):
         sched = RequestScheduler()
-        now = time.time()
+        now = time.monotonic()
         low = sched.submit(
             ("costas", 18), {"order": 18}, priority=0, deadline_at=now + 5.0
         )
@@ -391,7 +391,7 @@ class TestBatchMixedDeadlines:
 
     def test_expired_batch_job_fails_at_pop_with_loosest_rule_applied(self):
         sched = RequestScheduler()
-        now = time.time()
+        now = time.monotonic()
         # Both tickets carry already-passed deadlines; the job expires at
         # pop time and every coalesced ticket sees DeadlineExceededError.
         outcomes = sched.submit_batch(

@@ -4,9 +4,10 @@ Every driver is a plain function taking an :class:`~repro.experiments.config.Exp
 (which decides instance sizes, run counts and core counts) plus an optional
 shared :class:`~repro.parallel.runner.ExperimentRunner`, and returning a
 structured result object that knows how to render itself as a paper-style
-table.  The benchmark harness under ``benchmarks/`` and the command-line
-interface both call into this package, so the experiments can be re-run and
-inspected without pytest.
+table.  The command-line interface (``repro experiment``) and
+``tests/test_experiments.py`` both call into this package: the tests check
+the paper's claims at the smoke scale, and at the default scale as ``slow``
+cases (``pytest -m slow``).
 
 Mapping to the paper (see DESIGN.md for the full index):
 

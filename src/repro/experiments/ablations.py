@@ -10,9 +10,9 @@ The paper quantifies three refinements of the basic Costas model:
 This driver re-measures each of them (plus two engine-level knobs this
 reproduction exposes: the plateau probability and the probability of escaping
 a local minimum uphill) by running the same seeds through each variant and
-comparing average wall-clock time and iteration counts.  The benchmark harness
-exposes one benchmark per ablation so regressions in any individual refinement
-are visible.
+comparing average wall-clock time and iteration counts.  The test-suite checks
+each ablation separately at the default scale (``slow`` cases), so a
+regression in any individual refinement is visible.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Each driver returns a subclass of :class:`ExperimentResult` holding structured
 rows plus enough metadata (scale preset, parameters) to make the output
-self-describing when dumped by the benchmark harness or the CLI.
+self-describing when dumped by the CLI or printed by the tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -15,7 +16,13 @@ from repro.experiments.config import ExperimentScale
 from repro.models.costas import CostasProblem
 from repro.parallel.runner import ExperimentRunner
 
-__all__ = ["ExperimentResult", "costas_factory", "costas_params", "shared_runner"]
+__all__ = [
+    "ExperimentResult",
+    "cell_seed",
+    "costas_factory",
+    "costas_params",
+    "shared_runner",
+]
 
 
 @dataclass
@@ -66,6 +73,17 @@ class _CostasFactory:
         return f"costas_factory({self.order}, {self.kwargs})"
 
 
+def cell_seed(*key: Any) -> int:
+    """Seed of one simulated table or figure cell, the same in every process.
+
+    ``hash()`` of a key holding a string is salted per process
+    (``PYTHONHASHSEED``), so it cannot seed a reproducible table; the first
+    four bytes of the key's SHA-256 can.
+    """
+    digest = hashlib.sha256(repr(key).encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
+
+
 def costas_params(order: int, **overrides) -> ASParameters:
     """Engine parameters used by every Costas experiment (paper defaults)."""
     defaults = dict(max_iterations=2_000_000)
@@ -81,7 +99,7 @@ def shared_runner(runner: Optional[ExperimentRunner] = None) -> ExperimentRunner
 
     Sharing matters because several tables draw on the same instance pools;
     the in-memory cache of the shared runner avoids re-collecting them when a
-    benchmark session executes every experiment in sequence.
+    process runs every experiment in sequence.
     """
     global _GLOBAL_RUNNER
     if runner is not None:

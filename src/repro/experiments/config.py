@@ -6,10 +6,11 @@ finish in minutes, so every driver is parameterised by an
 :class:`ExperimentScale`.  Three presets are provided:
 
 * :meth:`ExperimentScale.smoke` — tiny; used by the unit/integration tests.
-* :meth:`ExperimentScale.default` — the benchmark preset: small enough to run
-  in a few minutes on a laptop, large enough that every qualitative claim of
-  the paper (exponential growth, best ≪ average, near-linear multi-walk
-  speed-up, exponential runtime distribution) is visible in the output.
+* :meth:`ExperimentScale.default` — the preset of ``repro experiment`` and
+  of the ``slow`` paper-claim tests: small enough to run in a few minutes on
+  a laptop, large enough that every qualitative claim of the paper
+  (exponential growth, best ≪ average, near-linear multi-walk speed-up,
+  exponential runtime distribution) is visible in the output.
 * :meth:`ExperimentScale.paper` — the paper's actual orders and core counts;
   only practical if one is willing to let the harness run for a very long
   time, but it documents precisely what the full-scale experiment is.
@@ -114,7 +115,7 @@ class ExperimentScale:
 
     @classmethod
     def default(cls) -> "ExperimentScale":
-        """The benchmark preset (scaled-down orders, full structure)."""
+        """The ``slow`` tests' preset (scaled-down orders, full structure)."""
         return cls(name="default")
 
     @classmethod

@@ -14,7 +14,13 @@ from typing import Dict, Optional
 
 from repro.analysis.speedup import speedup_series
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, costas_factory, costas_params, shared_runner
+from repro.experiments.base import (
+    ExperimentResult,
+    cell_seed,
+    costas_factory,
+    costas_params,
+    shared_runner,
+)
 from repro.experiments.config import ExperimentScale
 from repro.parallel.cluster import HA8000, HELIOS, SUNO
 from repro.parallel.runner import ExperimentRunner
@@ -50,7 +56,7 @@ def run_figure2(
                 machine,
                 core_count,
                 scale.cell_repetitions,
-                rng=hash((machine.name, core_count)) & 0x7FFFFFFF,
+                rng=cell_seed(machine.name, core_count),
             )
             times[core_count] = summary.mean
         series = speedup_series(times, reference_cores=reference)

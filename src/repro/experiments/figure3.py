@@ -13,7 +13,13 @@ from typing import Dict, Optional
 
 from repro.analysis.speedup import speedup_series
 from repro.analysis.tables import format_table
-from repro.experiments.base import ExperimentResult, costas_factory, costas_params, shared_runner
+from repro.experiments.base import (
+    ExperimentResult,
+    cell_seed,
+    costas_factory,
+    costas_params,
+    shared_runner,
+)
 from repro.experiments.config import ExperimentScale
 from repro.parallel.cluster import JUGENE
 from repro.parallel.runner import ExperimentRunner
@@ -44,7 +50,7 @@ def run_figure3(
                 JUGENE,
                 core_count,
                 scale.cell_repetitions,
-                rng=hash(("jugene", order, core_count)) & 0x7FFFFFFF,
+                rng=cell_seed("jugene", order, core_count),
             )
             times[core_count] = summary.mean
         series = speedup_series(times, reference_cores=reference)

@@ -22,7 +22,13 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.analysis.ttt import empirical_cdf, fit_shifted_exponential, ks_distance
-from repro.experiments.base import ExperimentResult, costas_factory, costas_params, shared_runner
+from repro.experiments.base import (
+    ExperimentResult,
+    cell_seed,
+    costas_factory,
+    costas_params,
+    shared_runner,
+)
 from repro.experiments.config import ExperimentScale
 from repro.parallel.cluster import HA8000
 from repro.parallel.runner import ExperimentRunner
@@ -52,7 +58,7 @@ def run_figure4(
             HA8000,
             core_count,
             scale.figure4_samples,
-            rng=hash(("ttt", order, core_count)) & 0x7FFFFFFF,
+            rng=cell_seed("ttt", order, core_count),
         )
         per_core_times[core_count] = np.array([e.wall_time for e in estimates])
 

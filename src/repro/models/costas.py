@@ -321,7 +321,6 @@ class CostasProblem(_CostasBase):
         use_chang: bool = True,
         dedicated_reset: bool = True,
         reset_constants: Optional[Sequence[int]] = None,
-        use_ckernels: Optional[bool] = None,
     ) -> None:
         super().__init__(
             order,
@@ -388,18 +387,10 @@ class CostasProblem(_CostasBase):
         # its address for the lifetime of the problem.
         self._perm = np.zeros(n, dtype=np.int64)
 
-        # Optional C kernels (see repro/core/_ckernels.py): auto-detected by
-        # default, forced on/off with ``use_ckernels``; every call site keeps
-        # a bit-exact NumPy fallback.
-        if use_ckernels is False:
-            self._lib = None
-        else:
-            self._lib = _ckernels.load()
-            if self._lib is None and use_ckernels is True:
-                raise ModelError(
-                    "use_ckernels=True but the C kernels are unavailable "
-                    "(no C compiler, or REPRO_NO_CKERNELS is set)"
-                )
+        # C kernels (see repro/core/_ckernels.py) when the process can load
+        # them (a compiler, REPRO_NO_CKERNELS unset); every call site keeps a
+        # bit-exact NumPy fallback.
+        self._lib = _ckernels.load()
         if self._lib is not None:
             self._cp = self._perm.ctypes.data
             self._crows = self._rows.ctypes.data

@@ -1,6 +1,6 @@
 """Experiment runner: collect sequential run pools and drive the virtual cluster.
 
-The benchmark harness needs, for each instance, a pool of independent
+The experiment drivers need, for each instance, a pool of independent
 sequential runs (the raw material of Tables I and of every simulated parallel
 table).  Collecting such a pool is by far the most expensive part of the
 reproduction, so :class:`RunPool` supports JSON round-tripping and the runner

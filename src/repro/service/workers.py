@@ -7,11 +7,14 @@ a shared job queue, run the incremental Adaptive Search engine from PR 1, and
 push results back on a shared result queue.  A request therefore costs one
 queue round-trip instead of a fork.
 
-Per-walk control uses a dedicated ``multiprocessing.Event`` per worker slot
-(created before the processes start, so it works under both ``fork`` and
-``spawn``): a worker announces which job it picked up, the dispatcher records
-the slot, and cancelling the job simply sets that slot's event, which the
-engine observes through its ``stop_check`` hook.  Multi-walk jobs fan the same
+Per-walk control uses a dedicated ``multiprocessing.Event`` per worker
+incarnation (created just before its process starts, so it works under both
+``fork`` and ``spawn``): a worker announces which job it picked up, the
+dispatcher records the slot, and cancelling the job simply sets that slot's
+event, which the engine observes through its ``stop_check`` hook.  A worker
+killed inside an Event call can leave the Event's internal lock held, so a
+respawned worker never inherits its predecessor's Event, and the pool sets
+Events only after releasing its own lock.  Multi-walk jobs fan the same
 instance out to several slots with independent seeds; the first solved walk
 cancels its siblings, mirroring the paper's first-past-the-post multi-walk.
 
@@ -240,6 +243,13 @@ def _pool_worker(
             result_queue.put(("error", worker_id, job_id, walk_index, repr(exc)))
 
 
+def _set_all(events: List[Any]) -> None:
+    """Set cancel Events; callers must not hold the pool's ``_lock``, since a
+    set() on an Event whose worker died inside it blocks."""
+    for event in events:
+        event.set()
+
+
 @dataclass
 class PoolJobHandle:
     """Dispatcher-side bookkeeping of one in-flight pool job."""
@@ -335,7 +345,8 @@ class WorkerPool:
         self._job_queue = self._ctx.Queue()
         self._result_queue = self._ctx.Queue()
         self._shutdown_event = self._ctx.Event()
-        self._cancel_events = [self._ctx.Event() for _ in range(self.n_workers)]
+        #: Cancel Event of each slot's current incarnation (set by _spawn).
+        self._cancel_events: List[Any] = [None] * self.n_workers
         self._procs: List[mp.process.BaseProcess] = []
         self._lock = threading.RLock()
         self._jobs: Dict[int, PoolJobHandle] = {}
@@ -388,13 +399,15 @@ class WorkerPool:
         # "crash" would crash-loop forever under the same seed.
         self._incarnations[worker_id] += 1
         scope = f"w{worker_id}.{self._incarnations[worker_id]}"
+        cancel_event = self._ctx.Event()
+        self._cancel_events[worker_id] = cancel_event
         proc = self._ctx.Process(
             target=_pool_worker,
             args=(
                 worker_id,
                 self._job_queue,
                 self._result_queue,
-                self._cancel_events[worker_id],
+                cancel_event,
                 self._shutdown_event,
                 scope,
             ),
@@ -483,8 +496,8 @@ class WorkerPool:
             if handle.settled:
                 return
             handle.cancelled = True
-            for walk_index, worker_id in handle.running.items():
-                self._cancel_events[worker_id].set()
+            events = [self._cancel_events[w] for w in handle.running.values()]
+        _set_all(events)
 
     # ---------------------------------------------------------------- collector
     def _collect_loop(self) -> None:
@@ -546,15 +559,17 @@ class WorkerPool:
         with self._lock:
             handle.running[walk_index] = worker_id
             handle.claimed_at[walk_index] = time.monotonic()
-            if handle.cancelled:
-                # Cancellation raced the claim: abort this walk now.
-                self._cancel_events[worker_id].set()
+            # Cancellation raced the claim: abort this walk now.
+            abort = handle.cancelled
+        if abort:
+            self._cancel_events[worker_id].set()
 
     def _on_walk_done(
         self, handle: PoolJobHandle, walk_index: int, worker_id: int, payload: Dict[str, Any]
     ) -> None:
         result = SolveResult.from_dict(payload)
         settle = False
+        siblings: List[Any] = []
         with self._lock:
             handle.running.pop(walk_index, None)
             handle.claimed_at.pop(walk_index, None)
@@ -573,11 +588,11 @@ class WorkerPool:
             handle.outstanding -= 1
             if result.solved and not handle.cancelled:
                 # First past the post: abort the sibling walks.
-                for other_walk, other_worker in handle.running.items():
-                    self._cancel_events[other_worker].set()
+                siblings = [self._cancel_events[w] for w in handle.running.values()]
             settle = handle.outstanding <= 0 or result.solved or handle.cancelled
             if settle:
                 settle = self._settle_locked(handle)
+        _set_all(siblings)
         if settle:
             handle.on_done(handle)
 
@@ -726,6 +741,7 @@ class WorkerPool:
         before stopping; ``drain=False`` aborts running walks immediately.
         Always joins, then terminates stragglers — no leaked children.
         """
+        events: List[Any] = []
         with self._lock:
             if not self._started:
                 return
@@ -734,8 +750,9 @@ class WorkerPool:
             if not drain:
                 for handle in list(self._jobs.values()):
                     handle.cancelled = True
-                for event in self._cancel_events:
-                    event.set()
+                # None: a slot whose first spawn is still under way.
+                events = [e for e in self._cancel_events if e is not None]
+        _set_all(events)
         for timer in timers:
             # Jobs whose delayed requeue never lands are failed as orphans
             # below; cancelling keeps no timer thread alive past shutdown.

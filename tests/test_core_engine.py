@@ -114,6 +114,7 @@ class TestInstrumentation:
 
     def test_result_counters_consistent(self):
         result = solve(CostasProblem(10), seed=5, params=ASParameters.for_costas(10))
+        assert result.solved
         assert result.swaps <= result.iterations
         assert result.local_minima <= result.iterations
         assert result.resets <= result.iterations

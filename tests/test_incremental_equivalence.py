@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import _ckernels
@@ -34,16 +34,26 @@ FLAG_COMBOS = [
     )
 ]
 
-#: Incremental variants under test: the NumPy path always, the C path when a
-#: toolchain is available (they share everything but the kernel dispatch).
-VARIANTS = [False] + ([True] if _ckernels.available() else [])
+def force_numpy_path(monkeypatch):
+    """Make ``_ckernels.load()`` report "unavailable", as a process with no
+    compiler or with ``REPRO_NO_CKERNELS`` set sees it (monkeypatch restores
+    the memoised verdict)."""
+    monkeypatch.setattr(_ckernels, "_lib", None)
+    monkeypatch.setattr(_ckernels, "_loaded", True)
 
 
-def make_pair(n, flags, use_ckernels):
-    return (
-        CostasProblem(n, use_ckernels=use_ckernels, **flags),
-        ReferenceCostasProblem(n, **flags),
-    )
+@pytest.fixture(params=["numpy"] + (["c"] if _ckernels.available() else []))
+def kernels(request, monkeypatch):
+    """Evaluation path of the CostasProblems a test builds: the NumPy path
+    always, the C kernels when this process can load them (they share
+    everything but the kernel dispatch)."""
+    if request.param == "numpy":
+        force_numpy_path(monkeypatch)
+    return request.param
+
+
+def make_pair(n, flags):
+    return CostasProblem(n, **flags), ReferenceCostasProblem(n, **flags)
 
 
 perm_strategy = st.integers(min_value=4, max_value=12).flatmap(
@@ -51,13 +61,19 @@ perm_strategy = st.integers(min_value=4, max_value=12).flatmap(
 )
 
 
+# The property tests run every example on the one kernel path the `kernels`
+# fixture pins, so its function scope is intended.
+@pytest.mark.usefixtures("kernels")
 class TestStaticEquivalence:
     @pytest.mark.parametrize("flags", FLAG_COMBOS, ids=str)
-    @pytest.mark.parametrize("use_ckernels", VARIANTS)
     @given(perm=perm_strategy)
-    @settings(max_examples=25, deadline=None)
-    def test_cost_errors_and_all_deltas_match(self, flags, use_ckernels, perm):
-        inc, ref = make_pair(len(perm), flags, use_ckernels)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cost_errors_and_all_deltas_match(self, flags, perm):
+        inc, ref = make_pair(len(perm), flags)
         inc.set_configuration(perm)
         ref.set_configuration(perm)
         assert inc.cost() == ref.cost()
@@ -71,13 +87,16 @@ class TestStaticEquivalence:
             for j in range(len(perm)):
                 assert inc.swap_delta(i, j) == ref.swap_delta(i, j)
 
-    @pytest.mark.parametrize("use_ckernels", VARIANTS)
     @given(perm=perm_strategy, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_applied_swap_walks_stay_identical(self, use_ckernels, perm, data):
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_applied_swap_walks_stay_identical(self, perm, data):
         n = len(perm)
         flags = data.draw(st.sampled_from(FLAG_COMBOS))
-        inc, ref = make_pair(n, flags, use_ckernels)
+        inc, ref = make_pair(n, flags)
         inc.set_configuration(perm)
         ref.set_configuration(perm)
         for _ in range(8):
@@ -93,13 +112,14 @@ class TestStaticEquivalence:
         assert np.array_equal(inc.configuration(), ref.configuration())
         assert np.array_equal(inc.variable_errors(), ref.variable_errors())
 
-    @pytest.mark.parametrize("use_ckernels", VARIANTS)
     @given(perm=perm_strategy, seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_dedicated_reset_same_candidates_and_choice(
-        self, use_ckernels, perm, seed
-    ):
-        inc, ref = make_pair(len(perm), dict(dedicated_reset=True), use_ckernels)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_dedicated_reset_same_candidates_and_choice(self, perm, seed):
+        inc, ref = make_pair(len(perm), dict(dedicated_reset=True))
         inc.set_configuration(perm)
         ref.set_configuration(perm)
         inc_cands = inc.reset_candidates(np.random.default_rng(seed))
@@ -116,11 +136,11 @@ class TestTrajectoryEquivalence:
     """Same engine + same seed must walk both paths through identical states."""
 
     @pytest.mark.parametrize("flags", FLAG_COMBOS, ids=str)
-    @pytest.mark.parametrize("use_ckernels", VARIANTS)
-    def test_full_solves_identical(self, flags, use_ckernels):
+    @pytest.mark.usefixtures("kernels")
+    def test_full_solves_identical(self, flags):
         n = 9
         params = ASParameters.for_costas(n, max_iterations=3000)
-        inc, ref = make_pair(n, flags, use_ckernels)
+        inc, ref = make_pair(n, flags)
         a = AdaptiveSearch().solve(inc, seed=12, params=params)
         b = AdaptiveSearch().solve(ref, seed=12, params=params)
         assert a.iterations == b.iterations
@@ -134,16 +154,15 @@ class TestTrajectoryEquivalence:
             b.swaps,
         )
 
-    @pytest.mark.skipif(len(VARIANTS) < 2, reason="C kernels unavailable")
-    def test_numpy_and_c_paths_identical(self):
+    @pytest.mark.skipif(not _ckernels.available(), reason="C kernels unavailable")
+    def test_numpy_and_c_paths_identical(self, monkeypatch):
         n = 11
         params = ASParameters.for_costas(n, max_iterations=2000)
-        a = AdaptiveSearch().solve(
-            CostasProblem(n, use_ckernels=True), seed=3, params=params
-        )
-        b = AdaptiveSearch().solve(
-            CostasProblem(n, use_ckernels=False), seed=3, params=params
-        )
+        c_path = CostasProblem(n)
+        force_numpy_path(monkeypatch)
+        numpy_path = CostasProblem(n)
+        a = AdaptiveSearch().solve(c_path, seed=3, params=params)
+        b = AdaptiveSearch().solve(numpy_path, seed=3, params=params)
         assert a.iterations == b.iterations
         assert np.array_equal(a.configuration, b.configuration)
 
@@ -165,8 +184,9 @@ class TestIncrementalApiSurface:
         assert np.array_equal(a.variable_errors(), b.variable_errors())
         b.check_consistency()
 
-    def test_apply_swap_accepts_and_uses_delta(self):
-        prob = CostasProblem(9, use_ckernels=False)
+    def test_apply_swap_accepts_and_uses_delta(self, monkeypatch):
+        force_numpy_path(monkeypatch)
+        prob = CostasProblem(9)
         prob.set_configuration(np.random.default_rng(1).permutation(9))
         before = prob.cost()
         delta = prob.swap_delta(2, 7)
@@ -182,14 +202,8 @@ class TestIncrementalApiSurface:
         prob.invalidate_caches()
         prob.check_consistency()
 
-    def test_explicit_ckernels_request_errors_when_disabled(self, monkeypatch):
-        monkeypatch.setattr(_ckernels, "_lib", None)
-        monkeypatch.setattr(_ckernels, "_loaded", True)
-        from repro.exceptions import ModelError
-
-        with pytest.raises(ModelError):
-            CostasProblem(8, use_ckernels=True)
-        # Auto mode silently falls back.
+    def test_unavailable_kernels_fall_back_to_numpy(self, monkeypatch):
+        force_numpy_path(monkeypatch)
         assert CostasProblem(8)._lib is None
 
 

@@ -55,6 +55,22 @@ class TestMultiWalkPortfolio:
         # Both strategies participated (losers report partial statistics too).
         assert outcome.solvers == ["adaptive-search", "tabu-search"]
 
+    @pytest.mark.parametrize("spec", ["adaptive", "adaptive+tabu"])
+    def test_pure_and_mixed_portfolios_solve_order_10(self, spec):
+        """Pure Adaptive Search and the mixed portfolio each win at least one
+        of two 2-walk races at order 10."""
+        solved = [
+            MultiWalkSolver(
+                costas_factory(10),
+                ASParameters.for_costas(10),
+                solver=spec,
+                n_workers=2,
+                seed_root=1010 + repeat,
+            ).solve(max_time=60.0).solved
+            for repeat in range(2)
+        ]
+        assert any(solved)
+
     def test_unknown_solver_fails_at_construction(self):
         with pytest.raises(SolverError, match="unknown solver"):
             MultiWalkSolver(costas_factory(9), solver="noop", n_workers=2)

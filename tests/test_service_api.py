@@ -14,8 +14,11 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
+from repro.core.params import ASParameters
 from repro.costas.array import is_costas
 from repro.exceptions import SolverError
+from repro.experiments.base import costas_factory
+from repro.parallel.multiwalk import MultiWalkSolver
 from repro.service.api import ServiceConfig, SolverService, submit_kwargs
 from repro.service.scheduler import SchedulerSaturatedError
 from repro.service.workers import WorkerPool
@@ -148,6 +151,57 @@ class TestWorkerPool:
         finally:
             pool.shutdown(drain=False, timeout=20.0)
 
+    def test_blocked_cancel_event_neither_holds_lock_nor_outlives_worker(self):
+        """A worker killed inside an ``mp.Event`` call can leave that Event's
+        lock held, so ``set()`` on it blocks.  A respawned worker must get a
+        fresh Event, and the pool must not block in ``set()`` holding
+        ``_lock``, which would freeze the collector and ``stats()``."""
+        import multiprocessing as mp
+        import os
+        import signal as signal_module
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("requires the fork start method")
+        pool = WorkerPool(1, mp_context="fork", seed_root=5, liveness_grace=0.2)
+        pool.start()
+        try:
+            first_event = pool._cancel_events[0]
+            os.kill(pool._procs[0].pid, signal_module.SIGKILL)
+            deadline = time.monotonic() + 30
+            while pool.stats()["workers_respawned"] == 0 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool.stats()["workers_respawned"] == 1
+            assert pool._cancel_events[0] is not first_event
+        except BaseException:
+            pool.shutdown(drain=False, timeout=5.0)
+            raise
+
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingEvent:
+            """An Event whose lock a killed worker still holds."""
+
+            def set(self):
+                entered.set()
+                release.wait(timeout=30)
+
+        pool._cancel_events[0] = BlockingEvent()
+        stopper = threading.Thread(
+            target=pool.shutdown, kwargs={"drain": False, "timeout": 5.0}
+        )
+        stopper.start()
+        try:
+            assert entered.wait(timeout=10)
+            stats_done = threading.Event()
+            threading.Thread(
+                target=lambda: (pool.stats(), stats_done.set()), daemon=True
+            ).start()
+            assert stats_done.wait(timeout=1.0), "stats() blocked behind set()"
+        finally:
+            release.set()
+            stopper.join(timeout=30)
+        assert not stopper.is_alive()
+
     def test_rejects_bad_configuration(self):
         from repro.exceptions import ParallelExecutionError
 
@@ -207,6 +261,47 @@ class TestServiceTiers:
         stats = service.stats()
         assert {"store", "scheduler", "pool", "immediate", "config"} <= set(stats)
         assert stats["immediate"]["construction"] >= 1
+
+    @pytest.mark.slow
+    def test_store_tier_answers_repeats_10x_faster_than_per_request_solving(self):
+        """The same mixed request stream through a fresh two-walk
+        MultiWalkSolver per request (the pre-service path) and through one
+        warm service: on the repeated and symmetry-equivalent requests the
+        service must be >= 10x faster."""
+        # (hot?, order) per request: the repeated order 9 and the symmetry-
+        # equivalent 10 are hot; constructible 11-13 and fresh 8, 14 and 15
+        # are interleaved with them.
+        workload = []
+        for i in range(6):
+            workload += [(True, 9), (True, 10), (False, (11, 12, 13)[i % 3])]
+            if i < 3:
+                workload.append((False, (8, 14, 15)[i]))
+
+        naive = 0.0
+        for index, (hot, order) in enumerate(workload):
+            start = time.perf_counter()
+            outcome = MultiWalkSolver(
+                costas_factory(order),
+                ASParameters.for_costas(order),
+                n_workers=2,
+                seed_root=100_000 + index,
+            ).solve(max_time=120.0)
+            assert outcome.solved, order
+            if hot:
+                naive += time.perf_counter() - start
+
+        served = 0.0
+        config = ServiceConfig(store_path=":memory:", n_workers=2, default_max_time=120.0)
+        with SolverService(config) as service:
+            # One stored array then answers the whole symmetry class of 10.
+            assert service.submit(10).result(timeout=600).solved
+            for hot, order in workload:
+                start = time.perf_counter()
+                assert service.submit(order).result(timeout=600).solved, order
+                if hot:
+                    served += time.perf_counter() - start
+        print(f"service over per-request solving on repeats: {naive / served:.0f}x")
+        assert naive / served >= 10.0
 
 
 class TestCoalescingAcceptance:

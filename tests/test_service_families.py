@@ -22,8 +22,24 @@ from repro.service.api import ServiceConfig, SolverService
 from repro.service.http_async import AsyncServiceHTTPServer
 
 #: Orders small enough that even the search tier answers within seconds.
-_SERVE_ORDERS = {"costas": 12, "queens": 12, "all-interval": 10, "magic-square": 4}
+_SERVE_ORDERS = {"costas": 12, "queens": 16, "all-interval": 12, "magic-square": 4}
 _SEARCH_ORDERS = {"costas": 9, "queens": 8, "all-interval": 8, "magic-square": 3}
+#: The full-size orders of the same two checks (``slow`` cases).
+_FULL_SERVE_ORDERS = {"costas": 16, "queens": 40, "all-interval": 24, "magic-square": 4}
+_FULL_SEARCH_ORDERS = {"costas": 10, "queens": 9, "all-interval": 9, "magic-square": 3}
+#: Repeat requests for a served instance, every one of which must hit the store.
+_STORE_HIT_REPEATS = 20
+_KINDS = [f.name for f in list_families()]
+
+
+def _orders(small, full):
+    """(kind, order) cases: the small orders, plus the full ones that differ
+    as ``slow`` cases."""
+    return [(kind, small[kind]) for kind in _KINDS] + [
+        pytest.param(kind, full[kind], marks=pytest.mark.slow)
+        for kind in _KINDS
+        if full[kind] != small[kind]
+    ]
 
 
 @pytest.fixture()
@@ -68,10 +84,9 @@ def _call(server, method, path, body=None):
 
 
 class TestServiceAllFamilies:
-    @pytest.mark.parametrize("kind", [f.name for f in list_families()])
-    def test_submit_solves_and_second_request_hits_store(self, service, kind):
+    @pytest.mark.parametrize("kind,order", _orders(_SERVE_ORDERS, _FULL_SERVE_ORDERS))
+    def test_submit_solves_and_second_request_hits_store(self, service, kind, order):
         family = get_family(kind)
-        order = _SERVE_ORDERS[kind]
         first = service.submit(order, kind=kind).result(timeout=120)
         assert first.solved and first.kind == kind
         assert family.validator(np.asarray(first.solution))
@@ -79,14 +94,14 @@ class TestServiceAllFamilies:
         # like Welch/Lempel/Golomb answer Costas orders.
         if family.try_construct(order) is not None:
             assert first.source == "construction"
-        second = service.submit(order, kind=kind).result(timeout=30)
-        assert second.source == "store"
-        assert family.validator(np.asarray(second.solution))
+        for _ in range(_STORE_HIT_REPEATS):
+            again = service.submit(order, kind=kind).result(timeout=30)
+            assert again.source == "store"
+            assert family.validator(np.asarray(again.solution))
 
-    @pytest.mark.parametrize("kind", [f.name for f in list_families()])
-    def test_search_tier_runs_for_every_family(self, service, kind):
+    @pytest.mark.parametrize("kind,order", _orders(_SEARCH_ORDERS, _FULL_SEARCH_ORDERS))
+    def test_search_tier_runs_for_every_family(self, service, kind, order):
         family = get_family(kind)
-        order = _SEARCH_ORDERS[kind]
         response = service.submit(
             order, kind=kind, use_store=False, use_constructions=False
         ).result(timeout=120)
@@ -149,7 +164,7 @@ class TestServiceAllFamilies:
 
 
 class TestHTTPAllFamilies:
-    @pytest.mark.parametrize("kind", [f.name for f in list_families()])
+    @pytest.mark.parametrize("kind", _KINDS)
     def test_post_solve_round_trip(self, server, kind):
         family = get_family(kind)
         body = {"order": _SERVE_ORDERS[kind], "kind": kind, "wait": True}

@@ -23,7 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import CancelledError
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 import pytest
 
@@ -890,6 +890,67 @@ class TestHTTPChaos:
             assert server.service.stats()["progress_subscribers"] == 0
         finally:
             server.stop(drain=False)
+
+
+# ------------------------------------------------------ availability sweep
+#: Orders cycled through the availability sweep: quick search-tier solves
+#: over several (kind, n) keys, so one unlucky key cannot trip its circuit
+#: breaker into dominating the availability number.
+_SWEEP_ORDERS = [8, 9, 10, 11, 12]
+
+
+def _search_outcome(port, order):
+    """POST one search-tier solve: (status, solved?); status 0 means the
+    request did not end in a well-formed HTTP response."""
+    body = {
+        "order": order,
+        "wait": True,
+        "use_store": False,
+        "use_constructions": False,
+        "max_time": 15.0,
+    }
+    try:
+        status, _, payload = _http_call(port, "POST", "/solve", body)
+    except Exception:
+        return 0, False
+    return status, bool(payload.get("solved"))
+
+
+class TestAvailabilityUnderCrashes:
+    @pytest.mark.parametrize(
+        "rate,requests,concurrency,floor",
+        [
+            (0.0, 25, 4, 0.9),
+            (0.1, 25, 4, 0.9),
+            pytest.param(0.0, 200, 8, 1.0, marks=pytest.mark.slow),
+            pytest.param(0.1, 200, 8, 0.99, marks=pytest.mark.slow),
+            pytest.param(0.3, 200, 8, 0.0, marks=pytest.mark.slow),
+        ],
+    )
+    def test_answers_survive_worker_crash_rate(
+        self, served, rate, requests, concurrency, floor
+    ):
+        """A served front-end whose workers crash at a seeded *rate* after
+        claiming a walk: the share of solved answers holds its *floor*, and
+        every response is well-formed (a crash may slow an answer, never
+        wedge one)."""
+        plan = f"worker.crash={rate},seed=2012" if rate else None
+        orders = [_SWEEP_ORDERS[i % len(_SWEEP_ORDERS)] for i in range(requests)]
+        with served(
+            n_workers=2,
+            default_max_time=30.0,
+            fault_plan=plan,
+            max_walk_retries=4,
+            liveness_grace=0.4,
+            hang_grace=1.0,
+        ) as port:
+            with ThreadPoolExecutor(concurrency) as clients:
+                outcomes = list(clients.map(lambda o: _search_outcome(port, o), orders))
+        availability = sum(s == 200 and solved for s, solved in outcomes) / requests
+        malformed = sum(s == 0 for s, _ in outcomes)
+        print(f"crash rate {rate}: availability {availability:.2%}, malformed {malformed}")
+        assert malformed == 0
+        assert availability >= floor
 
 
 # ------------------------------------------------------- graceful shutdown

@@ -1,13 +1,18 @@
 """Tests for the HTTP front-end's event-loop capabilities: keep-alive,
 ``POST /solve-batch`` and ``GET /events/<id>``, including the error paths:
 malformed batch bodies, per-item failures that must not poison the batch,
-SSE disconnects mid-solve, and 503 semantics under batch.
+SSE disconnects mid-solve, and 503 semantics under batch.  The load gates at
+the end drive a server in its own process: simultaneous waiting clients must
+all be answered, and one batch must beat the same solves sent one by one.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import json
 import socket
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -369,3 +374,115 @@ class TestEventsEndpoint:
         finally:
             for sock, reader, _, _ in streams:
                 sock.close()
+
+
+# ------------------------------------------------------------------ load gates
+#: The store-warm instance every ladder client asks for.
+_LADDER_ORDER = 14
+
+#: Orders cycled through the batch items: constructible, or stored by the
+#: warm-up pass, so both sides of the comparison measure serving overhead.
+_BATCH_ORDERS = [12, 13, 14, 16, 17, 18, 27, 29]
+
+
+async def post_solve(port: int, body: dict, timeout: float):
+    """POST /solve on a connection of its own and read the whole response:
+    ``(status, raw response)``, status 0 when no well-formed response
+    arrived within *timeout* per step."""
+    payload = json.dumps(body).encode()
+    request = (
+        f"POST /solve HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+        f"Connection: close\r\n\r\n"
+    ).encode() + payload
+    try:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection("127.0.0.1", port), timeout
+        )
+        writer.write(request)
+        await asyncio.wait_for(writer.drain(), timeout)
+        data = await asyncio.wait_for(reader.read(), timeout)
+        writer.close()
+        return int(data.split(b"\r\n", 1)[0].split(b" ")[1]), data
+    except Exception:
+        return 0, b""
+
+
+async def _ladder_level(port: int, clients: int, deadline: float = 10.0) -> int:
+    """Fire *clients* simultaneous waiting solves; how many were answered."""
+    body = {"order": _LADDER_ORDER, "wait": True}
+    answers = await asyncio.gather(
+        *[post_solve(port, body, deadline) for _ in range(clients)]
+    )
+    return sum(status == 200 and b'"solved": true' in data for status, data in answers)
+
+
+def _keepalive_post(conn: http.client.HTTPConnection, path: str, body: dict):
+    conn.request("POST", path, json.dumps(body), {"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+class TestLoadGates:
+    @pytest.mark.parametrize(
+        "levels,required",
+        [
+            ([10, 20, 40, 80, 160], 160),
+            pytest.param(
+                [25, 50, 100, 200, 400, 800, 1000, 1600], 1000, marks=pytest.mark.slow
+            ),
+        ],
+    )
+    def test_simultaneous_waiting_clients_are_sustained(self, served, levels, required):
+        """Climb a ladder of simultaneous ``wait=true`` clients on one
+        store-warm instance; a level is sustained when every client gets a
+        correct answer within 10 s."""
+        with served(n_workers=1, default_max_time=120.0) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            status, payload = _keepalive_post(
+                conn, "/solve", {"order": _LADDER_ORDER, "wait": True}
+            )
+            conn.close()
+            assert status == 200 and payload["solved"]
+            sustained = 0
+            for clients in levels:
+                if asyncio.run(_ladder_level(port, clients)) < clients:
+                    break
+                sustained = clients
+        print(f"sustained {sustained} simultaneous clients")
+        assert sustained >= required
+
+    @pytest.mark.parametrize(
+        "n_items,rounds,floor",
+        [(16, 3, 2.0), pytest.param(32, 5, 5.0, marks=pytest.mark.slow)],
+    )
+    def test_batch_amortises_sequential_solves(self, served, n_items, rounds, floor):
+        """One ``/solve-batch`` of store-warm items against the same items as
+        sequential ``/solve`` calls on one keep-alive connection (the
+        strongest sequential rival), median of *rounds*."""
+        items = [{"order": _BATCH_ORDERS[i % len(_BATCH_ORDERS)]} for i in range(n_items)]
+        sequential, batched = [], []
+        with served(n_workers=1, default_max_time=120.0) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            for item in items:
+                status, payload = _keepalive_post(conn, "/solve", {**item, "wait": True})
+                assert status == 200 and payload["solved"], payload
+            for _ in range(rounds):
+                start = time.perf_counter()
+                for item in items:
+                    status, payload = _keepalive_post(
+                        conn, "/solve", {**item, "wait": True}
+                    )
+                    assert status == 200 and payload["solved"], payload
+                sequential.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                status, payload = _keepalive_post(
+                    conn, "/solve-batch", {"items": items, "wait": True}
+                )
+                batched.append(time.perf_counter() - start)
+                assert status == 200, payload
+                assert all(r["status"] == "done" and r["solved"] for r in payload["results"])
+            conn.close()
+        amortisation = statistics.median(sequential) / statistics.median(batched)
+        print(f"batch of {n_items} amortises sequential solves {amortisation:.1f}x")
+        assert amortisation >= floor

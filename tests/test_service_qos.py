@@ -2,12 +2,17 @@
 
 The scheduler-level tests exercise the multi-lane ``RequestScheduler``
 directly (no processes); the HTTP tests spin a tiny lane-enabled server to
-pin the 429/503 wire contracts and the ``X-Repro-Tenant`` header.
+pin the 429/503 wire contracts and the ``X-Repro-Tenant`` header.  The
+open-loop flood at the end checks the policy's purpose end to end: a
+background flood past worker capacity must not double interactive p99.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import random
+import time
 import urllib.error
 import urllib.request
 
@@ -31,6 +36,8 @@ from repro.service.scheduler import (
     SchedulerQuotaError,
     SchedulerSaturatedError,
 )
+
+from test_service_http_async import post_solve
 
 
 def _submit(sched, order, *, lane=None, tenant="default", priority=0):
@@ -533,3 +540,129 @@ class TestStoreCache:
         else:  # a defensive copy is equally acceptable
             got[0] = 99
             assert list(got2) != list(got) or got2 is not got
+
+
+# ------------------------------------------------------------ open-loop flood
+#: Heavy-tailed order mix of the flood: orders hard enough that every walk
+#: runs to its ``max_time``, weighted 1/k^1.5.
+_FLOOD_ORDERS = [19, 20, 21, 22, 23, 24, 25, 26]
+
+
+def _arrivals(*, seed, duration, interactive_rate, background_rate, max_time):
+    """Poisson arrival schedule of one phase, deterministic per seed.
+
+    A unique microsecond jitter on each request's ``max_time`` gives every
+    request its own instance key, so coalescing cannot fold the flood into
+    one job.
+    """
+    rng = random.Random(seed)
+    weights = [1.0 / (k + 1) ** 1.5 for k in range(len(_FLOOD_ORDERS))]
+    events = []
+    serial = 0
+    for lane, tenant, rate in (
+        ("interactive", "frontend", interactive_rate),
+        ("background", "flood", background_rate),
+    ):
+        if rate <= 0:
+            continue
+        t = rng.expovariate(rate)
+        while t < duration:
+            serial += 1
+            events.append(
+                {
+                    "t": round(t, 6),
+                    "order": rng.choices(_FLOOD_ORDERS, weights)[0],
+                    "lane": lane,
+                    "tenant": tenant,
+                    "max_time": round(max_time + serial * 1e-6, 6),
+                }
+            )
+            t += rng.expovariate(rate)
+    events.sort(key=lambda e: e["t"])
+    return events
+
+
+async def _fire_open_loop(port, events, timeout=30.0):
+    """Send every request at its scheduled instant, however the earlier ones
+    fare, so queueing delay lands in the latencies instead of slowing the
+    generator; returns ``(lane, status, seconds)`` per request (status 0: no
+    well-formed response)."""
+    t0 = time.perf_counter()
+
+    async def fire(event):
+        delay = event["t"] - (time.perf_counter() - t0)
+        if delay > 0:
+            await asyncio.sleep(delay)
+        body = {
+            "order": event["order"],
+            "wait": True,
+            "lane": event["lane"],
+            "tenant": event["tenant"],
+            "max_time": event["max_time"],
+            "use_store": False,
+            "use_constructions": False,
+        }
+        start = time.perf_counter()
+        status, _ = await post_solve(port, body, timeout)
+        return event["lane"], status, time.perf_counter() - start
+
+    return await asyncio.gather(*[fire(event) for event in events])
+
+
+def _ok_p99(results, lane):
+    latencies = sorted(t for sent, status, t in results if sent == lane and status == 200)
+    if not latencies:
+        return None
+    return latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))]
+
+
+class TestOpenLoopFlood:
+    @pytest.mark.parametrize("duration", [12.0, pytest.param(30.0, marks=pytest.mark.slow)])
+    def test_interactive_p99_holds_under_background_flood(self, served, duration):
+        """Two open-loop phases against one lane-enabled server: interactive
+        requests alone, then the same rate while a background tenant floods
+        at 2.5x worker capacity (2 workers, 0.15 s searches).  Interactive
+        p99 stays within 2x its unloaded value, no interactive request is
+        refused, and the flood is."""
+        n_workers, max_time = 2, 0.15
+        background_rate = round(2.5 * n_workers / max_time, 2)
+        seed = 20260807
+        baseline_events = _arrivals(
+            seed=seed, duration=duration, interactive_rate=2.0,
+            background_rate=0.0, max_time=max_time,
+        )
+        flood_events = _arrivals(
+            seed=seed + 1, duration=duration, interactive_rate=2.0,
+            background_rate=background_rate, max_time=max_time,
+        )
+        with served(
+            n_workers=n_workers,
+            max_queue_depth=32,
+            default_max_time=120.0,
+            lanes="default",
+        ) as port:
+            baseline = asyncio.run(_fire_open_loop(port, baseline_events))
+            flood = asyncio.run(_fire_open_loop(port, flood_events))
+            # Let shed futures settle before sampling the server's counters.
+            time.sleep(0.5)
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/stats", timeout=30
+            ) as resp:
+                lanes = json.loads(resp.read())["scheduler"]["lanes"]
+        base_p99 = _ok_p99(baseline, "interactive")
+        flood_p99 = _ok_p99(flood, "interactive")
+        statuses = {
+            lane: [status for sent, status, _ in flood if sent == lane]
+            for lane in ("interactive", "background")
+        }
+        print(
+            f"interactive p99 {1000 * (base_p99 or 0):.0f} -> "
+            f"{1000 * (flood_p99 or 0):.0f} ms; background 503s "
+            f"{statuses['background'].count(503)}, shed {lanes['background']['shed']}"
+        )
+        assert 503 not in statuses["interactive"]
+        assert 429 not in statuses["interactive"]
+        assert lanes["interactive"]["shed"] == 0
+        assert lanes["interactive"]["rejected"] == 0
+        assert statuses["background"].count(503) > 0 or lanes["background"]["shed"] > 0
+        assert base_p99 and flood_p99 and flood_p99 <= 2.0 * base_p99

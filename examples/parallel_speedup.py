@@ -3,7 +3,8 @@
 
 Part 1 runs the paper's multi-start scheme for real on this machine's cores
 (one process per walk, first solution terminates everyone) and compares the
-wall-clock time with a single sequential walk.
+wall-clock time with a single sequential walk.  Both sides run the default
+engine, the compiled walk, so the comparison is one engine against itself.
 
 Part 2 collects a pool of sequential runs and uses the virtual-cluster model
 to predict how the same instance would behave on the paper's machines (HA8000

@@ -68,7 +68,8 @@ def solve_costas(
 
     This is the one-call entry point used by the quickstart example: it builds
     the optimised Costas model (the paper's Section IV-B configuration), picks
-    the tuned engine parameters for the order, runs the sequential engine and
+    the tuned engine parameters for the order, runs one walk of the default
+    engine (the compiled walk; see :func:`repro.solvers.resolve_spec`) and
     returns the result wrapped with a convenience accessor for the validated
     :class:`~repro.costas.array.CostasArray`.
 
@@ -84,9 +85,10 @@ def solve_costas(
         Forwarded to :class:`repro.models.CostasProblem` (e.g.
         ``err_weight="constant"``, ``use_chang=False``).
     """
+    from repro.solvers import run_spec
+
     problem = CostasProblem(order, **model_options)
-    parameters = params if params is not None else ASParameters.for_costas(order)
-    result = solve(problem, seed, params=parameters)
+    result = run_spec(None, problem, seed, problem_kind="costas", as_params=params)
     return CostasSolveResult(result)
 
 
@@ -105,7 +107,8 @@ def parallel_solve_costas(
     One worker process per walk; the first solution stops everyone.  Returns a
     :class:`repro.parallel.multiwalk.MultiWalkResult`.  ``solver`` selects the
     strategy (or a heterogeneous portfolio such as ``"adaptive+tabu"``) from
-    the :mod:`repro.solvers` registry; the default is pure Adaptive Search.
+    the :mod:`repro.solvers` registry; the default is the compiled walk
+    engine (``"compiled"``), and ``solver="adaptive"`` runs the NumPy engine.
     ``population`` additionally batches that many vectorised compiled-engine
     walks inside each worker process (for strategies that support it).
     """

@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--solver",
         default=None,
-        help="registered solver to run (see 'repro solvers'); default: adaptive",
+        help="registered solver to run (see 'repro solvers'); default: "
+        "compiled (the compiled walk; 'adaptive' runs the NumPy engine)",
     )
     p_solve.add_argument(
         "--max-time", type=float, default=None, help="wall-clock limit (s)"
@@ -117,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument(
         "--solver",
         default=None,
-        help="solver or portfolio for the walks (e.g. tabu, adaptive+tabu, mixed)",
+        help="solver or portfolio for the walks (e.g. tabu, adaptive+tabu, "
+        "mixed); default: compiled",
     )
     p_par.add_argument(
         "--population",
@@ -210,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--solver",
         default=None,
-        help="default solver/portfolio for requests that do not name one",
+        help="default solver/portfolio for requests that do not name one; "
+        "default: compiled (the compiled walk; 'adaptive' runs the NumPy engine)",
     )
     p_serve.add_argument(
         "--faults",
@@ -432,7 +435,6 @@ def _print_engine_line(result) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from repro import ASParameters, solve_costas
     from repro.exceptions import SolverError
     from repro.problems import get_family
 
@@ -469,57 +471,40 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.basic:
         options = dict(err_weight="constant", use_chang=False, dedicated_reset=False)
 
-    if args.solver is not None or args.max_time is not None or args.population > 1:
-        # Any registered strategy, through the registry's uniform interface
-        # (also the path for --max-time, which the registry harness provides
-        # to every solver uniformly).
-        from repro.costas import CostasArray
-        from repro.exceptions import SolverError
-        from repro.models import CostasProblem
-        from repro.solvers import resolve_portfolio, run_spec
+    from repro.costas import CostasArray
+    from repro.models import CostasProblem
+    from repro.solvers import resolve_portfolio, run_spec
 
-        try:
-            specs = resolve_portfolio(args.solver)
-            if len(specs) > 1:
-                print(
-                    f"error: {args.solver!r} is a portfolio; sequential solve "
-                    "runs one walk — use 'repro parallel --solver' to race it",
-                    file=sys.stderr,
-                )
-                return 1
-            result = run_spec(
-                specs[0],
-                CostasProblem(args.order, **options),
-                seed=args.seed,
-                problem_kind="costas",
-                max_time=args.max_time,
-                population=args.population,
+    try:
+        specs = resolve_portfolio(args.solver)
+        if len(specs) > 1:
+            print(
+                f"error: {args.solver!r} is a portfolio; sequential solve "
+                "runs one walk — use 'repro parallel --solver' to race it",
+                file=sys.stderr,
             )
-        except SolverError as exc:
-            print(f"error: {exc}", file=sys.stderr)
             return 1
-        if args.quiet:
-            if not result.solved:
-                print(f"unsolved: {result.summary()}", file=sys.stderr)
-                return 1
-            print([int(v) + 1 for v in result.configuration])
-            return 0
-        print(result.summary())
-        _print_engine_line(result)
-        if result.solved:
-            array = CostasArray.from_permutation(result.configuration)
-            print("permutation (1-based):", list(array.to_one_based()))
-            print(array.render())
-        return 0 if result.solved else 1
-
-    result = solve_costas(args.order, seed=args.seed, **options)
+        result = run_spec(
+            specs[0],
+            CostasProblem(args.order, **options),
+            seed=args.seed,
+            problem_kind="costas",
+            max_time=args.max_time,
+            population=args.population,
+        )
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.quiet:
-        print(list(result.as_costas_array().to_one_based()))
+        if not result.solved:
+            print(f"unsolved: {result.summary()}", file=sys.stderr)
+            return 1
+        print([int(v) + 1 for v in result.configuration])
         return 0
-    print(result.result.summary())
-    _print_engine_line(result.result)
+    print(result.summary())
+    _print_engine_line(result)
     if result.solved:
-        array = result.as_costas_array()
+        array = CostasArray.from_permutation(result.configuration)
         print("permutation (1-based):", list(array.to_one_based()))
         print(array.render())
     return 0 if result.solved else 1

@@ -39,7 +39,7 @@ from repro.core.callbacks import IterationCallback, _call_event, _call_iteration
 from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.core.result import SolveResult
-from repro.core.rng import SeedLike
+from repro.core.rng import SeedLike, derive_seed
 
 __all__ = [
     "CompiledAdaptiveSearch",
@@ -305,7 +305,12 @@ class CompiledAdaptiveSearch:
         initial_configuration: Optional[np.ndarray] = None,
         max_time: Optional[float] = None,
     ) -> SolveResult:
-        """Run one compiled walk; the walk's RNG is seeded with *seed* itself."""
+        """Run one compiled walk; the walk's RNG is seeded with *seed* itself.
+
+        An integer seed is used as is; a generator or ``SeedSequence`` yields
+        one derived integer seed, so it stays reproducible; ``None`` draws
+        fresh entropy.
+        """
         p = params if params is not None else self.params
         spec = None if _ckernels.load() is None else walk_spec(problem, p)
         if spec is None:
@@ -320,8 +325,10 @@ class CompiledAdaptiveSearch:
             )
         if isinstance(seed, (int, np.integer)):
             walk_seed = int(seed)
-        else:
+        elif seed is None:
             walk_seed = int.from_bytes(os.urandom(8), "little")
+        else:
+            walk_seed = derive_seed(seed, 0)
         given = (
             None
             if initial_configuration is None

@@ -10,9 +10,11 @@ The paper quantifies three refinements of the basic Costas model:
 This driver re-measures each of them (plus two engine-level knobs this
 reproduction exposes: the plateau probability and the probability of escaping
 a local minimum uphill) by running the same seeds through each variant and
-comparing average wall-clock time and iteration counts.  The test-suite checks
-each ablation separately at the default scale (``slow`` cases), so a
-regression in any individual refinement is visible.
+comparing average wall-clock time and iteration counts.  The walks run the
+default engine, the compiled walk, whose kernel reads every model flag and
+parameter the variants change.  The test-suite checks each ablation
+separately at the default scale (``slow`` cases), so a regression in any
+individual refinement is visible.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import numpy as np
 
 from repro.analysis.stats import summarize
 from repro.analysis.tables import format_table
-from repro.core.engine import AdaptiveSearch
 from repro.core.params import ASParameters
 from repro.experiments.base import ExperimentResult, costas_params, shared_runner
 from repro.experiments.config import ExperimentScale
 from repro.models.costas import CostasProblem
 from repro.parallel.runner import ExperimentRunner
 from repro.parallel.seeds import spawned_seeds
+from repro.solvers import run_spec
 
 __all__ = [
     "run_ablation",
@@ -142,7 +144,6 @@ def run_ablation(
     orders = list(orders) if orders is not None else list(scale.ablation_orders)
     runs = runs if runs is not None else scale.ablation_runs
 
-    engine = AdaptiveSearch()
     result = ExperimentResult(experiment=f"ablation-{name}", scale=scale.name)
     table_rows = []
 
@@ -153,8 +154,8 @@ def run_ablation(
             iterations = []
             solved = 0
             for seed in seeds:
-                res = engine.solve(
-                    problem_factory(order), seed=seed, params=params_factory(order)
+                res = run_spec(
+                    None, problem_factory(order), seed, as_params=params_factory(order)
                 )
                 if res.solved:
                     solved += 1

@@ -43,6 +43,7 @@ def _summary_cell(summary: RunSummary) -> Dict[str, float]:
         "med": summary.median,
         "min": summary.minimum,
         "max": summary.maximum,
+        "std": summary.std,
     }
 
 

@@ -42,11 +42,11 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import AdaptiveSearch
 from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.exceptions import AnalysisError, ParallelExecutionError
 from repro.core.rng import SeedLike, ensure_generator
+from repro.solvers import run_spec
 
 __all__ = [
     "MachineModel",
@@ -340,7 +340,8 @@ class VirtualCluster:
         cores: int,
         seeds: Sequence[int],
     ) -> ParallelRunEstimate:
-        """Exact simulation: actually run *cores* fresh sequential walks.
+        """Exact simulation: actually run *cores* fresh sequential walks of
+        the default engine.
 
         Only sensible for small core counts; the benchmark harness uses it to
         validate the bootstrap estimates on overlapping configurations.
@@ -350,12 +351,10 @@ class VirtualCluster:
             raise ParallelExecutionError(
                 f"{len(seeds)} seeds provided for {cores} cores"
             )
-        engine = AdaptiveSearch()
         iteration_counts: List[int] = []
         solved_any = False
         for seed in seeds[:cores]:
-            problem = problem_factory()
-            result = engine.solve(problem, seed=int(seed), params=params)
+            result = run_spec(None, problem_factory(), int(seed), as_params=params)
             iteration_counts.append(result.iterations)
             solved_any = solved_any or result.solved
         winning = min(iteration_counts)

@@ -28,11 +28,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import AdaptiveSearch
 from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.core.result import SolveResult
 from repro.exceptions import ParallelExecutionError
+from repro.solvers import run_spec
 
 __all__ = ["Message", "SimulatedCommunicator", "SimulatedMultiWalk", "SimulatedWalkOutcome"]
 
@@ -124,10 +124,10 @@ class SimulatedMultiWalk:
 
     Every rank advances ``check_period`` iterations per scheduling round (the
     polling granularity of the paper), after which termination messages are
-    delivered.  The solver state of each rank is a real
-    :class:`~repro.core.engine.AdaptiveSearch` run driven through its
-    ``stop_check`` / ``max_iterations`` hooks, so the per-rank trajectories are
-    identical to sequential runs with the same seeds.
+    delivered.  The solver state of each rank is a real walk of the default
+    engine (:func:`repro.solvers.run_spec` with no solver named), so the
+    per-rank trajectories are identical to sequential runs with the same
+    seeds.
 
     Notes
     -----
@@ -148,12 +148,9 @@ class SimulatedMultiWalk:
         self,
         problem_factory: Callable[[], PermutationProblem],
         params: ASParameters,
-        *,
-        engine_factory: Callable[[], AdaptiveSearch] | None = None,
     ) -> None:
         self._problem_factory = problem_factory
         self._params = params
-        self._engine_factory = engine_factory or (lambda: AdaptiveSearch())
 
     def run(
         self,
@@ -176,12 +173,10 @@ class SimulatedMultiWalk:
             params = params.with_updates(max_iterations=max_iterations)
 
         # Phase 1: run every rank's walk to completion independently.
-        results: List[SolveResult] = []
-        for rank, seed in enumerate(seeds):
-            problem = self._problem_factory()
-            engine = self._engine_factory()
-            result = engine.solve(problem, seed=int(seed), params=params)
-            results.append(result)
+        results: List[SolveResult] = [
+            run_spec(None, self._problem_factory(), int(seed), as_params=params)
+            for seed in seeds
+        ]
 
         # Phase 2: replay the termination protocol on the iteration counts.
         solved_iters = [

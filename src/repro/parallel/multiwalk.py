@@ -8,8 +8,9 @@ that event every ``check_period`` iterations through the strategy's
 ``stop_check`` hook, mirroring the non-blocking MPI probe of the paper, and
 stop as soon as it is set.
 
-By default every walk runs the Adaptive Search engine, but any solver of the
-:mod:`repro.solvers` registry can be selected with ``solver=``, including a
+By default every walk runs the compiled Adaptive Search walk (the registry's
+default, ``"compiled"``), but any solver of the :mod:`repro.solvers`
+registry can be selected with ``solver=``, including a
 **heterogeneous portfolio**: a list of solver specs assigned round-robin
 across the walks, racing first-past-the-post.  A portfolio turns the paper's
 multi-walk termination into an algorithm race — useful when no single
@@ -89,8 +90,9 @@ class MultiWalkResult:
     def solvers(self) -> List[str]:
         """Distinct solver names among the reporting walks (sorted).
 
-        A pure run yields ``["adaptive-search"]``; a heterogeneous portfolio
-        run lists every strategy that participated.
+        A pure run yields one name (``["compiled-adaptive-search"]`` by
+        default); a heterogeneous portfolio run lists every strategy that
+        participated.
         """
         return sorted({r.solver for r in self.results})
 
@@ -144,8 +146,8 @@ class MultiWalkSolver:
         list of specs.  Portfolio members are assigned to walks round-robin
         (``n_workers`` is raised to the portfolio size when smaller, so every
         member is guaranteed a walk); the first solved walk stops everyone
-        (first past the post).  Default: pure Adaptive Search, exactly as
-        before.
+        (first past the post).  Default: the compiled Adaptive Search walk
+        (``"compiled"``; ``"adaptive"`` selects the NumPy engine).
     n_workers:
         Number of worker processes (default: the machine's CPU count).
     seeds:

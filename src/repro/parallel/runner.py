@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.stats import RunSummary, summarize
-from repro.core.engine import AdaptiveSearch
+from repro.core import _ckernels
 from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.core.result import SolveResult
@@ -33,6 +33,7 @@ from repro.exceptions import AnalysisError, ParallelExecutionError
 from repro.parallel.cluster import MachineModel, ParallelRunEstimate, VirtualCluster, WalkSample
 from repro.parallel.seeds import spawned_seeds
 from repro.core.rng import ensure_generator
+from repro.solvers import resolve_spec, run_spec
 
 __all__ = ["RunPool", "ExperimentRunner"]
 
@@ -128,8 +129,11 @@ class ExperimentRunner:
     ----------
     cache_dir:
         Directory for on-disk pool caching (``None`` disables it).  Pools are
-        keyed by the problem description, the engine parameters and the number
-        of runs, so changing any of those re-collects.
+        keyed by the problem description, the engine parameters, the number
+        of runs, the seed root and the engine that collects them (the default
+        solver's registry name plus the kernel mode, since a build without
+        the C kernels walks the NumPy engine's trajectories), so changing any
+        of those re-collects.
     """
 
     def __init__(self, cache_dir: Optional[Path | str] = None) -> None:
@@ -139,11 +143,21 @@ class ExperimentRunner:
         self._memory_cache: Dict[str, RunPool] = {}
 
     # ------------------------------------------------------------------- pools
-    def _cache_key(self, problem: PermutationProblem, params: ASParameters, runs: int) -> str:
+    def _cache_key(
+        self,
+        problem: PermutationProblem,
+        params: ASParameters,
+        runs: int,
+        seed_root: Optional[int],
+    ) -> str:
         # Must be stable across processes: ``hash(str)`` is salted per process
         # (PYTHONHASHSEED), which made on-disk pool caches unreachable on the
         # next run.  A truncated SHA-256 of the payload is deterministic.
-        payload = f"{problem.describe()}|{params}|runs={runs}"
+        engine = f"{resolve_spec(None).name}/{_ckernels.mode()}"
+        payload = (
+            f"{problem.describe()}|{params}|runs={runs}|seed_root={seed_root}"
+            f"|engine={engine}"
+        )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def collect_pool(
@@ -155,7 +169,8 @@ class ExperimentRunner:
         seed_root: Optional[int] = 12345,
         use_cache: bool = True,
     ) -> RunPool:
-        """Run *runs* independent sequential walks and return the pool.
+        """Run *runs* independent sequential walks of the default engine
+        and return the pool.
 
         Seeds are spawned deterministically from ``seed_root`` so repeated
         collections (and cache misses after trivial code changes) stay
@@ -164,7 +179,7 @@ class ExperimentRunner:
         if runs < 1:
             raise ParallelExecutionError(f"runs must be >= 1, got {runs}")
         sample_problem = problem_factory()
-        key = self._cache_key(sample_problem, params, runs)
+        key = self._cache_key(sample_problem, params, runs, seed_root)
         if use_cache and key in self._memory_cache:
             return self._memory_cache[key]
         if use_cache and self.cache_dir is not None:
@@ -174,14 +189,12 @@ class ExperimentRunner:
                 self._memory_cache[key] = pool
                 return pool
 
-        engine = AdaptiveSearch()
         seeds = spawned_seeds(runs, seed_root)
         samples: List[WalkSample] = []
         total_iterations = 0
         total_time = 0.0
         for seed in seeds:
-            problem = problem_factory()
-            result = engine.solve(problem, seed=seed, params=params)
+            result = run_spec(None, problem_factory(), seed, as_params=params)
             samples.append(
                 WalkSample(
                     iterations=result.iterations,

@@ -15,8 +15,9 @@ needs, composed of four pieces a request flows through:
    in-flight solve), bounded depth with explicit backpressure, and
    cancellation.
 3. :mod:`repro.service.workers` — a long-lived process worker pool: workers
-   start once, pull jobs over queues, run the incremental Adaptive Search
-   engine, and drain gracefully on shutdown.
+   start once, pull jobs over queues, run the compiled Adaptive Search walk
+   (or whichever solver the request names), and drain gracefully on
+   shutdown.
 4. :mod:`repro.service.api` — the :class:`~repro.service.api.SolverService`
    facade composing store -> algebraic-construction shortcut -> scheduler ->
    pool, exposed over stdlib HTTP by the asyncio front-end

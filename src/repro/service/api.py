@@ -97,6 +97,7 @@ class ServiceConfig:
     #: Solver (or portfolio) used when a request does not name one: a
     #: registry name ("adaptive", "tabu"), an inline portfolio
     #: ("adaptive+tabu"), a named portfolio ("mixed") or a spec dict/list.
+    #: ``None`` is the registry default, the compiled walk ("compiled").
     default_solver: Optional[Any] = None
     #: Disable tiers globally (benchmarks use these to build the naive rival).
     use_store: bool = True

@@ -3,8 +3,9 @@
 :class:`~repro.parallel.multiwalk.MultiWalkSolver` pays process spawn, module
 import and (on first use) C-kernel compilation on *every* request.  The pool
 amortises all of that: ``n_workers`` processes are started **once**, block on
-a shared job queue, run the incremental Adaptive Search engine from PR 1, and
-push results back on a shared result queue.  A request therefore costs one
+a shared job queue, run the requested strategy (the compiled Adaptive Search
+walk unless the job names another solver), and push results back on a shared
+result queue.  A request therefore costs one
 queue round-trip instead of a fork.
 
 Per-walk control uses a dedicated ``multiprocessing.Event`` per worker
@@ -55,16 +56,18 @@ class _ProgressReporter:
     """Throttled :class:`~repro.core.callbacks.IterationCallback` that
     forwards search progress over the pool's result queue.
 
-    The strategy harness (:class:`repro.core.strategy.StrategyRun`) dispatches
-    ``on_iteration`` on every loop iteration; this reporter checks the clock
-    only every 64 iterations and posts at most one ``("progress", ...)``
-    message per *interval* seconds, so the hot path pays a couple of integer
-    operations per iteration and the queue sees a few messages per second per
+    The NumPy engine's harness (:class:`repro.core.strategy.StrategyRun`)
+    dispatches ``on_iteration`` on every loop iteration, the compiled walk
+    once per ``check_period``.  Either way this reporter checks the clock
+    only once 64 more iterations have run (it reads the *iteration* argument,
+    not its own call count) and posts at most one ``("progress", ...)``
+    message per *interval* seconds, so the hot path pays an integer
+    comparison per call and the queue sees a few messages per second per
     walk at worst.  A full queue drops the sample (progress is advisory).
     """
 
     __slots__ = ("_queue", "_worker_id", "_job_id", "_walk_index", "_solver",
-                 "_interval", "_next_at", "_count")
+                 "_interval", "_next_at", "_check_at")
 
     def __init__(
         self,
@@ -82,12 +85,12 @@ class _ProgressReporter:
         self._solver = solver
         self._interval = interval
         self._next_at = time.perf_counter() + interval
-        self._count = 0
+        self._check_at = 64
 
     def on_iteration(self, iteration: int, cost: int) -> None:
-        self._count += 1
-        if self._count & 63:
+        if iteration < self._check_at:
             return
+        self._check_at = iteration + 64
         now = time.perf_counter()
         if now < self._next_at:
             return
@@ -131,10 +134,10 @@ def _pool_worker(
     "seed", "max_time", "deadline_at", "model_options", "population"}``.
     ``kind`` selects
     any family of the :mod:`repro.problems` registry; ``solver`` selects any
-    strategy of the :mod:`repro.solvers` registry (``None`` = Adaptive
-    Search); ``params`` is the legacy engine-parameter override honoured by
-    adaptive walks only — solver-specific parameters travel inside
-    ``solver``.  ``deadline_at`` is an absolute ``time.monotonic()``
+    strategy of the :mod:`repro.solvers` registry (``None`` = the registry
+    default, the compiled walk); ``params`` is the legacy engine-parameter
+    override honoured by the two Adaptive Search engines only —
+    solver-specific parameters travel inside ``solver``.  ``deadline_at`` is an absolute ``time.monotonic()``
     deadline that caps the walk's time budget (an already-expired deadline
     is reported as an error without solving).  ``population`` (default 1) runs that many
     vectorised walks per slot in one compiled-kernel batch, reporting the

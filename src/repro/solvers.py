@@ -202,9 +202,16 @@ def resolve_spec(spec: SpecLike) -> SolverSpec:
     **and parameters** are validated against the registry here, so a bad
     request fails with :class:`SolverError` at the resolution boundary (an
     HTTP 400) instead of deep inside a worker or a queue key.
+
+    ``None`` resolves to ``"compiled"``, the compiled walk engine, and this is
+    the one place that default is decided: every layer that runs a walk
+    without naming a solver (``solve_costas``, the multi-walk driver, the
+    worker pool, the service, the experiment pools) comes through here.  The
+    engine delegates to the NumPy ``"adaptive"`` engine on its own for
+    families it does not compile and in builds without the C kernels.
     """
     if spec is None:
-        return SolverSpec("adaptive")
+        return SolverSpec("compiled")
     if isinstance(spec, SolverSpec):
         info = get_solver(spec.name)
         if spec.params:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import RunSummary
+from repro.core import _ckernels
 from repro.exceptions import AnalysisError, ParallelExecutionError
 from repro.experiments.base import costas_factory, costas_params
 from repro.parallel.cluster import HA8000, JUGENE, WalkSample
@@ -80,6 +81,22 @@ class TestExperimentRunner:
         b = other.collect_pool(costas_factory(8), costas_params(8), 5)
         assert [s.iterations for s in a.samples] == [s.iterations for s in b.samples]
 
+    def test_cache_key_separates_seed_roots_and_engines(self, monkeypatch):
+        # The key once hashed only problem, params and run count: a second
+        # seed root was served the first root's pool, and a pool collected
+        # by another engine would have been served as this engine's.
+        runner = ExperimentRunner()
+        root1 = runner.collect_pool(costas_factory(8), costas_params(8), 5, seed_root=1)
+        root2 = runner.collect_pool(costas_factory(8), costas_params(8), 5, seed_root=2)
+        assert root2 is not root1
+        assert [s.seed for s in root2.samples] != [s.seed for s in root1.samples]
+        problem, params = costas_factory(8)(), costas_params(8)
+        key = runner._cache_key(problem, params, 5, 1)
+        # A build without the C kernels walks the NumPy engine's trajectories.
+        other_mode = "numpy" if _ckernels.mode() == "c" else "c"
+        monkeypatch.setattr(_ckernels, "mode", lambda: other_mode)
+        assert runner._cache_key(problem, params, 5, 1) != key
+
     def test_cache_key_is_stable_across_processes(self):
         # abs(hash(payload)) was salted by PYTHONHASHSEED, so on-disk pools
         # could never be rehit by a later run; the key must now be a pure
@@ -91,15 +108,18 @@ class TestExperimentRunner:
         runner = ExperimentRunner()
         problem = costas_factory(8)()
         params = costas_params(8)
-        key = runner._cache_key(problem, params, 5)
-        payload = f"{problem.describe()}|{params}|runs=5"
+        key = runner._cache_key(problem, params, 5, 7)
+        payload = (
+            f"{problem.describe()}|{params}|runs=5|seed_root=7"
+            f"|engine=compiled/{_ckernels.mode()}"
+        )
         assert key == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
         # Recompute in a subprocess with a different hash seed: same key.
         code = (
             "from repro.parallel.runner import ExperimentRunner\n"
             "from repro.experiments.base import costas_factory, costas_params\n"
             "print(ExperimentRunner()._cache_key("
-            "costas_factory(8)(), costas_params(8), 5))\n"
+            "costas_factory(8)(), costas_params(8), 5, 7))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

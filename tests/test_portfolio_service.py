@@ -259,6 +259,6 @@ class TestHTTPSolverRoundTrip:
         status, stats = self._call(server, "GET", "/stats")
         assert status == 200
         assert stats["solvers"]["requests"]["tabu"] == 1
-        assert stats["solvers"]["requests"]["adaptive"] == 1
+        assert stats["solvers"]["requests"]["compiled"] == 1
         assert sum(stats["solvers"]["solved"].values()) >= 1
-        assert stats["config"]["default_solver"] == "adaptive"
+        assert stats["config"]["default_solver"] == "compiled"

@@ -7,6 +7,8 @@ concurrent identical requests must trigger exactly **one** solve on the pool.
 from __future__ import annotations
 
 import inspect
+import os
+import queue as queue_module
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -20,8 +22,9 @@ from repro.exceptions import SolverError
 from repro.experiments.base import costas_factory
 from repro.parallel.multiwalk import MultiWalkSolver
 from repro.service.api import ServiceConfig, SolverService, submit_kwargs
+from repro.service.faults import FAULTS_ENV_VAR, FaultPlan
 from repro.service.scheduler import SchedulerSaturatedError
-from repro.service.workers import WorkerPool
+from repro.service.workers import WorkerPool, _ProgressReporter
 
 
 @pytest.fixture()
@@ -305,8 +308,25 @@ class TestServiceTiers:
 
 
 class TestCoalescingAcceptance:
-    def test_concurrent_identical_requests_trigger_exactly_one_solve(self, service):
-        """Acceptance criterion: N concurrent identical requests -> 1 solve."""
+    def test_concurrent_identical_requests_trigger_exactly_one_solve(self, tmp_path):
+        """Acceptance criterion: N concurrent identical requests -> 1 solve.
+
+        Every walk starts 0.2 s after its claim (a ``worker.slow`` fault), so
+        all N requests arrive while the first one's solve is in flight, even
+        when its walk solves in a handful of iterations."""
+        config = ServiceConfig(
+            store_path=str(tmp_path / "solutions.db"),
+            n_workers=2,
+            default_max_time=120.0,
+            fault_plan=FaultPlan(rates={"worker.slow": 1.0}, slow_seconds=0.2),
+        )
+        try:
+            with SolverService(config) as service:
+                self._one_solve_for_identical_requests(service)
+        finally:
+            os.environ.pop(FAULTS_ENV_VAR, None)  # published for the workers
+
+    def _one_solve_for_identical_requests(self, service):
         n_requests = 10
         requests = [
             service.submit(16, use_constructions=False, use_store=False)
@@ -516,6 +536,21 @@ class TestOneAdmissionCore:
         assert idle_service.scheduler.stats()["queued"] == len(requests)
 
 
+class TestProgressReporter:
+    def test_first_compiled_walk_sample_posts_at_iteration_64(self):
+        """The compiled walk reports once per check period (64 iterations),
+        so the throttle must count iterations, not calls: with no interval,
+        the first call at iteration 64 posts a sample."""
+        posted = queue_module.Queue()
+        reporter = _ProgressReporter(posted, 0, 1, 0, "compiled", 0.0)
+        reporter.on_iteration(64, 7)
+        assert posted.get_nowait()[4] == {
+            "iteration": 64, "cost": 7, "solver": "compiled"
+        }
+        reporter.on_iteration(100, 5)  # fewer than 64 iterations later
+        assert posted.empty()
+
+
 class TestProgressSubscriptions:
     def test_subscribe_to_settled_request_gets_snapshot_and_done(self, service):
         request = service.submit(12)
@@ -532,8 +567,9 @@ class TestProgressSubscriptions:
         assert service.subscribe("ghost") is None
 
     def test_search_request_streams_progress_and_cleans_up(self, tmp_path):
-        # A tight progress interval makes the first sample arrive within a
-        # few hundred iterations, long before any n=16 walk can finish.
+        # The walk's target cost of -1 is unreachable, so it never finishes
+        # early: it runs its whole 1 s budget, posting a sample every 20 ms,
+        # and ends unsolved with ``done``.
         config = ServiceConfig(
             store_path=str(tmp_path / "progress.db"),
             n_workers=2,
@@ -544,7 +580,13 @@ class TestProgressSubscriptions:
             self._stream_and_check(service)
 
     def _stream_and_check(self, service):
-        request = service.submit(16, use_constructions=False, use_store=False)
+        request = service.submit(
+            16,
+            use_constructions=False,
+            use_store=False,
+            solver={"name": "compiled", "params": {"target_cost": -1}},
+            max_time=1.0,
+        )
         sub = service.subscribe(request.request_id)
         assert sub is not None
         assert service.stats()["progress_subscribers"] == 1

@@ -827,7 +827,9 @@ class TestHTTPChaos:
 
     def test_sse_failed_terminal_when_worker_killed(self, tmp_path):
         """Regression: kill the workers under an open ``/events/<id>`` stream;
-        the stream must deliver a terminal ``failed`` event and close."""
+        the stream must deliver a terminal ``failed`` event and close.  The
+        walk's target cost of -1 is unreachable, so it is still running when
+        the kill lands, however lucky its trajectory."""
         config = ServiceConfig(
             store_path=str(tmp_path / "sse.db"),
             n_workers=1,
@@ -842,7 +844,12 @@ class TestHTTPChaos:
                 server.port,
                 "POST",
                 "/solve",
-                {"order": 18, "use_store": False, "use_constructions": False},
+                {
+                    "order": 18,
+                    "use_store": False,
+                    "use_constructions": False,
+                    "solver": {"name": "compiled", "params": {"target_cost": -1}},
+                },
             )
             assert status == 202
             rid = payload["request_id"]

@@ -268,8 +268,9 @@ class TestEventsEndpoint:
         assert done["solved"] and done["request_id"] == rid
 
     def test_search_request_streams_progress_then_done(self, tmp_path):
-        # A tight progress interval guarantees samples arrive before even a
-        # lucky n=16 walk can finish.
+        # The walk's target cost of -1 is unreachable, so it never finishes
+        # early: it runs its whole 1 s budget, posting a sample every 20 ms,
+        # and ends unsolved with ``done``.
         server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
@@ -290,7 +291,13 @@ class TestEventsEndpoint:
             server,
             "POST",
             "/solve",
-            {"order": 16, "use_constructions": False, "use_store": False},
+            {
+                "order": 16,
+                "use_constructions": False,
+                "use_store": False,
+                "solver": {"name": "compiled", "params": {"target_cost": -1}},
+                "max_time": 1.0,
+            },
         )
         assert status == 202
         rid = payload["request_id"]

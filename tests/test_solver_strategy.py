@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import _ckernels
 from repro.core.strategy import SearchStrategy, StrategyRun
 from repro.costas.array import is_costas
 from repro.exceptions import SolverError
@@ -163,11 +164,19 @@ class TestRegistry:
 
 class TestSpecsAndPortfolios:
     def test_resolve_spec_forms(self):
-        assert resolve_spec(None) == SolverSpec("adaptive")
+        assert resolve_spec(None) == SolverSpec("compiled")
         assert resolve_spec("tabu") == SolverSpec("tabu")
         assert resolve_spec({"name": "ds"}).name == "dialectic"
         spec = resolve_spec({"name": "tabu", "params": {"tenure": 3}})
         assert spec.params == {"tenure": 3}
+
+    def test_default_solve_runs_the_compiled_walk_or_its_fallback(self):
+        """The default engine runs the walk in C when the kernels load and
+        says so when a build without them falls back to NumPy."""
+        result = run_spec(None, CostasProblem(9), seed=3, problem_kind="costas")
+        assert result.solved
+        expected = "compiled" if _ckernels.load() is not None else "numpy-fallback"
+        assert result.extra["engine"] == expected
 
     def test_inline_portfolio_string(self):
         specs = resolve_portfolio("adaptive+tabu")

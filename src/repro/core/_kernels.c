@@ -13,87 +13,129 @@
  *                   for k < n-d; off-triangle cells hold a sentinel
  *   cnt[(D+1)*Wx]   occurrence counts per distance d and shifted value v
  *   wd[D]           ERR(d) weights for d = 1..D
+ *
+ * The swap-scoring kernels apply each swap to cnt and revert it (below): they
+ * write into cnt and return it exactly as they found it.
  */
 
 #include <stdint.h>
 
 typedef int64_t i64;
 
-/* Exact cost delta of swapping columns i and j, read from the count tables.
+/* Swap scoring by apply-and-revert on the count tables.
  *
- * Per distance d the swap rewrites at most four triangle cells (i-d, i,
- * j-d, j; when |i-j| == d one cell spans both columns and is visited once).
- * Cells are processed sequentially — remove the old value, add the new one —
- * with a local adjustment list so colliding values within one swap see each
- * other's changes without touching the shared tables. */
-static i64 delta_one(const i64 *p, const i64 *rows, const i64 *cnt,
-                     i64 n, i64 D, i64 Wx, i64 off, const i64 *wd,
-                     i64 i, i64 j)
+ * Per distance d a swap of columns i and j rewrites at most four triangle
+ * cells: i-d, i, j-d, j (when |i-j| == d one cell spans both columns and
+ * counts once).  Row d contributes ERR(d) * sum_v max(cnt[v] - 1, 0) to the
+ * cost, a function of the counts alone, so a swap's delta is the cost after
+ * all its events minus the cost before, whatever order the events run in.
+ * That lets the culprit's cells (i-d, i) leave the tables once per scoring
+ * call (costas_lift); each partner j then removes its own cells, adds every
+ * new value, reads the delta and undoes both (costas_partner), and
+ * costas_drop puts the culprit's cells back. */
+
+/* Remove the culprit's cells from cnt; returns the cost change. */
+static i64 costas_lift(const i64 *rows, i64 *cnt, i64 n, i64 D, i64 Wx,
+                       const i64 *wd, i64 i)
 {
     i64 delta = 0;
-    i64 a = p[i], b = p[j];
     for (i64 d = 1; d <= D; d++) {
-        const i64 *cn = cnt + d * Wx;
+        i64 *cn = cnt + d * Wx;
         const i64 *rw = rows + d * n;
         i64 w = wd[d - 1];
-        i64 cells[4];
-        int nc = 0;
-        i64 k = i - d;
-        if (k >= 0 && k != j) cells[nc++] = k;
-        k = j - d;
-        if (k >= 0 && k != i) cells[nc++] = k;
-        if (i + d < n) cells[nc++] = i;
-        if (j + d < n) cells[nc++] = j;
-
-        i64 lv[8], la[8]; /* local value adjustments within this distance */
-        int nl = 0;
-        for (int c = 0; c < nc; c++) {
-            i64 kk = cells[c];
-            i64 u = rw[kk]; /* current value */
-            i64 x0 = p[kk], x1 = p[kk + d];
-            if (kk == i) x0 = b; else if (kk == j) x0 = a;
-            if (kk + d == i) x1 = b; else if (kk + d == j) x1 = a;
-            i64 v = x1 - x0 + off; /* value after the swap */
-            if (u == v) continue;
-
-            i64 adj = 0;
-            int t, found = 0;
-            for (t = 0; t < nl; t++)
-                if (lv[t] == u) { adj = la[t]; break; }
-            if (cn[u] + adj >= 2) delta -= w;
-            for (t = 0; t < nl; t++)
-                if (lv[t] == u) { la[t] -= 1; found = 1; break; }
-            if (!found) { lv[nl] = u; la[nl] = -1; nl++; }
-
-            adj = 0;
-            found = 0;
-            for (t = 0; t < nl; t++)
-                if (lv[t] == v) { adj = la[t]; break; }
-            if (cn[v] + adj >= 1) delta += w;
-            for (t = 0; t < nl; t++)
-                if (lv[t] == v) { la[t] += 1; found = 1; break; }
-            if (!found) { lv[nl] = v; la[nl] = 1; nl++; }
+        if (i - d >= 0) {
+            i64 u = rw[i - d];
+            if (cn[u] >= 2) delta -= w;
+            cn[u]--;
+        }
+        if (i + d < n) {
+            i64 u = rw[i];
+            if (cn[u] >= 2) delta -= w;
+            cn[u]--;
         }
     }
     return delta;
 }
 
+/* Undo costas_lift. */
+static void costas_drop(const i64 *rows, i64 *cnt, i64 n, i64 D, i64 Wx,
+                        i64 i)
+{
+    for (i64 d = 1; d <= D; d++) {
+        i64 *cn = cnt + d * Wx;
+        const i64 *rw = rows + d * n;
+        if (i - d >= 0) cn[rw[i - d]]++;
+        if (i + d < n) cn[rw[i]]++;
+    }
+}
+
+/* Cost change of swapping i with j beyond the lifted culprit cells: remove
+ * j's own cells, add the swap's new values, then restore cnt. */
+static i64 costas_partner(const i64 *p, const i64 *rows, i64 *cnt,
+                          i64 n, i64 D, i64 Wx, i64 off, const i64 *wd,
+                          i64 i, i64 j)
+{
+    i64 delta = 0;
+    i64 db = p[j] - p[i];
+    for (i64 d = 1; d <= D; d++) {
+        i64 *cn = cnt + d * Wx;
+        const i64 *rw = rows + d * n;
+        i64 w = wd[d - 1];
+        i64 add[4];
+        int na = 0;
+        /* j's cells, unless one of them is a lifted culprit cell. */
+        int lo = j - d >= 0 && j - d != i, hi = j + d < n && j + d != i;
+        if (lo) {
+            i64 u = rw[j - d];
+            if (cn[u] >= 2) delta -= w;
+            cn[u]--;
+            add[na++] = u - db;
+        }
+        if (hi) {
+            i64 u = rw[j];
+            if (cn[u] >= 2) delta -= w;
+            cn[u]--;
+            add[na++] = u + db;
+        }
+        /* The culprit's cells; a cell spanning both columns is negated. */
+        if (i - d >= 0) add[na++] = (i - d == j) ? off + db : rw[i - d] + db;
+        if (i + d < n) add[na++] = (i + d == j) ? off - db : rw[i] - db;
+        for (int t = 0; t < na; t++) {
+            if (cn[add[t]] >= 1) delta += w;
+            cn[add[t]]++;
+        }
+        for (int t = 0; t < na; t++) cn[add[t]]--;
+        if (lo) cn[rw[j - d]]++;
+        if (hi) cn[rw[j]]++;
+    }
+    return delta;
+}
+
 /* deltas[j] = cost delta of swapping i with j (deltas[i] is left 0; the
- * caller installs its sentinel). */
-void costas_swap_deltas(const i64 *p, const i64 *rows, const i64 *cnt,
+ * caller installs its sentinel).  Mutates cnt while it runs and restores
+ * it before returning, so one table set must not be scored from two threads
+ * at once. */
+void costas_swap_deltas(const i64 *p, const i64 *rows, i64 *cnt,
                         i64 n, i64 D, i64 Wx, i64 off, const i64 *wd,
                         i64 i, i64 *deltas)
 {
+    i64 base = costas_lift(rows, cnt, n, D, Wx, wd, i);
     for (i64 j = 0; j < n; j++)
-        deltas[j] = (j == i) ? 0 : delta_one(p, rows, cnt, n, D, Wx, off, wd, i, j);
+        deltas[j] = (j == i) ? 0
+            : base + costas_partner(p, rows, cnt, n, D, Wx, off, wd, i, j);
+    costas_drop(rows, cnt, n, D, Wx, i);
 }
 
-i64 costas_swap_delta(const i64 *p, const i64 *rows, const i64 *cnt,
+/* Cost delta of swapping i with j; restores cnt like costas_swap_deltas. */
+i64 costas_swap_delta(const i64 *p, const i64 *rows, i64 *cnt,
                       i64 n, i64 D, i64 Wx, i64 off, const i64 *wd,
                       i64 i, i64 j)
 {
     if (i == j) return 0;
-    return delta_one(p, rows, cnt, n, D, Wx, off, wd, i, j);
+    i64 delta = costas_lift(rows, cnt, n, D, Wx, wd, i)
+              + costas_partner(p, rows, cnt, n, D, Wx, off, wd, i, j);
+    costas_drop(rows, cnt, n, D, Wx, i);
+    return delta;
 }
 
 /* Apply the swap: update p, rows and cnt in place, return the cost delta. */
@@ -182,28 +224,39 @@ void costas_errors(const i64 *rows, i64 n, i64 D, const i64 *wd,
     }
 }
 
-/* Exact cost of m candidate permutations (the dedicated-reset scoring):
- * per (candidate, distance), duplicates = occurrences beyond the first of
- * each value.  Same epoch-stamped scratch as costas_errors. */
+/* Weighted duplicate count of one candidate permutation: per distance,
+ * every occurrence of a value beyond its first costs ERR(d).  Same
+ * epoch-stamped scratch as costas_errors, one fresh tag per distance.
+ * Stops after the first distance whose partial cost exceeds `limit` and
+ * returns that partial cost, so a result above `limit` only says "more
+ * than limit".  The row scan is branch-free: a hit is rare and random, so
+ * counting it beats predicting it. */
+static i64 costas_cand_cost(const i64 *c, i64 n, i64 D, i64 off,
+                            const i64 *wd, i64 *stamp, i64 *epoch, i64 limit)
+{
+    i64 cost = 0;
+    for (i64 d = 1; d <= D; d++) {
+        i64 tag = ++(*epoch);
+        i64 dups = 0;
+        for (i64 k = 0; k + d < n; k++) {
+            i64 v = c[k + d] - c[k] + off;
+            dups += stamp[v] == tag;
+            stamp[v] = tag;
+        }
+        cost += wd[d - 1] * dups;
+        if (cost > limit) return cost;
+    }
+    return cost;
+}
+
+/* Exact cost of m candidate permutations (the dedicated-reset scoring of
+ * the NumPy engine); uses tags base+1 .. base+m*D of the stamp scratch. */
 void costas_batch_costs(const i64 *cands, i64 m, i64 n, i64 D, i64 off,
                         const i64 *wd, i64 *stamp, i64 base, i64 *out)
 {
-    for (i64 r = 0; r < m; r++) {
-        const i64 *c = cands + r * n;
-        i64 cost = 0;
-        for (i64 d = 1; d <= D; d++) {
-            i64 w = wd[d - 1];
-            i64 tag = base + r * D + d;
-            i64 dups = 0;
-            for (i64 k = 0; k + d < n; k++) {
-                i64 v = c[k + d] - c[k] + off;
-                if (stamp[v] == tag) dups++;
-                else stamp[v] = tag;
-            }
-            cost += w * dups;
-        }
-        out[r] = cost;
-    }
+    for (i64 r = 0; r < m; r++)
+        out[r] = costas_cand_cost(cands + r * n, n, D, off, wd, stamp, &base,
+                                  INT64_MAX);
 }
 
 /* ====================================================================== *
@@ -214,8 +267,8 @@ void costas_batch_costs(const i64 *cands, i64 m, i64 n, i64 D, i64 off,
  * min-conflict swap scoring, plateau/local-minimum/escape decisions, tabu
  * marking, generic and dedicated resets, restarts) and returns to Python
  * only at check-period boundaries.  All randomness comes from an embedded
- * xoshiro256** stream seeded through splitmix64; repro/core/cwalk.py holds
- * a line-for-line Python mirror, and the trajectory test-suite asserts
+ * xoshiro256** stream seeded through splitmix64; repro/core/cwalk_mirror.py
+ * holds a line-for-line Python mirror, and the trajectory test-suite asserts
  * bit-exact equality between the two.
  *
  * Families (pi[WK_FAMILY]): 0 = Costas (tbl1 = difference-triangle rows,
@@ -227,8 +280,6 @@ void costas_batch_costs(const i64 *cands, i64 m, i64 n, i64 D, i64 off,
  * ====================================================================== */
 
 typedef uint64_t u64;
-
-#define WK_I64_MAX ((i64)0x7FFFFFFFFFFFFFFFLL)
 
 /* ------------------------------------------------------------------ RNG */
 static u64 wk_splitmix64(u64 *x)
@@ -583,7 +634,7 @@ static void wk_errors(const i64 *pi, const i64 *wd, const i64 *p,
 }
 
 static void wk_deltas(const i64 *pi, const i64 *wd, const i64 *p,
-                      const i64 *t1, const i64 *t2, i64 i, i64 *deltas)
+                      const i64 *t1, i64 *t2, i64 i, i64 *deltas)
 {
     i64 n = pi[WK_N];
     switch (pi[WK_FAMILY]) {
@@ -600,7 +651,7 @@ static void wk_deltas(const i64 *pi, const i64 *wd, const i64 *p,
             deltas[j] = (j == i) ? 0 : ai_delta(p, t1, n, i, j);
         break;
     }
-    deltas[i] = WK_I64_MAX;
+    deltas[i] = INT64_MAX;
 }
 
 static i64 wk_apply(const i64 *pi, const i64 *wd, i64 *p, i64 *t1, i64 *t2,
@@ -634,22 +685,6 @@ static void wk_generic_reset(wk_rng *r, i64 *p, i64 n, i64 k,
     for (i64 t = 0; t < k; t++) vals[t] = p[idx[t]];
     wk_shuffle(r, vals, k);
     for (i64 t = 0; t < k; t++) p[idx[t]] = vals[t];
-}
-
-static i64 costas_cand_cost(const i64 *c, i64 n, i64 D, i64 off,
-                            const i64 *wd, i64 *stamp, i64 *epoch)
-{
-    i64 cost = 0;
-    for (i64 d = 1; d <= D; d++) {
-        i64 w = wd[d - 1];
-        i64 tag = ++(*epoch);
-        for (i64 k = 0; k + d < n; k++) {
-            i64 v = c[k + d] - c[k] + off;
-            if (stamp[v] == tag) cost += w;
-            else stamp[v] = tag;
-        }
-    }
-    return cost;
 }
 
 /* The paper's dedicated Costas reset (Section IV-B): three candidate
@@ -716,26 +751,30 @@ static i64 costas_dedicated_reset(wk_rng *r, i64 *p, i64 *rows, i64 *cnt,
         }
     }
 
-    for (i64 t = 0; t < m; t++)
-        ccost[t] = costas_cand_cost(cand + t * n, n, D, off, wd, stamp, epoch);
-
-    /* Random examination order; first strict improvement wins. */
+    /* Random examination order; first strict improvement wins.  The
+     * shuffle's draws do not depend on costs, so candidates are scored
+     * lazily in examination order, and each one only until it can neither
+     * improve on entry_cost nor tie the cheapest so far (ccost[t] is then
+     * some value above both, which the tie pass below never selects). */
     for (i64 t = 0; t < m; t++) corder[t] = t;
     wk_shuffle(r, corder, m);
     i64 chosen = -1;
-    i64 bestc = WK_I64_MAX;
+    i64 bestc = INT64_MAX;
     for (i64 t = 0; t < m; t++) {
-        i64 c = ccost[corder[t]];
+        i64 limit = bestc > entry_cost - 1 ? bestc : entry_cost - 1;
+        i64 c = costas_cand_cost(cand + corder[t] * n, n, D, off, wd, stamp,
+                                 epoch, limit);
+        ccost[t] = c;
         if (c < entry_cost) { chosen = corder[t]; break; }
         if (c < bestc) bestc = c;
     }
     if (chosen < 0) { /* none improves: uniform among the minimum-cost ones */
         i64 tcnt = 0;
         for (i64 t = 0; t < m; t++)
-            if (ccost[corder[t]] == bestc) tcnt++;
+            if (ccost[t] == bestc) tcnt++;
         i64 tp = wk_below(r, tcnt);
         for (i64 t = 0; t < m; t++)
-            if (ccost[corder[t]] == bestc && tp-- == 0) { chosen = corder[t]; break; }
+            if (ccost[t] == bestc && tp-- == 0) { chosen = corder[t]; break; }
     }
     const i64 *sel = cand + chosen * n;
     for (i64 k = 0; k < n; k++) p[k] = sel[k];
@@ -859,7 +898,7 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
                 else all = 0;
             }
             int masked = any && !all;
-            i64 maxv = (i64)(-WK_I64_MAX - 1);
+            i64 maxv = INT64_MIN;
             i64 cnt = 0;
             for (i64 k = 0; k < n; k++) {
                 i64 e = (masked && tb[k] >= iter) ? -1 : er[k];

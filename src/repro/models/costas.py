@@ -41,8 +41,8 @@ Two implementations of the same model are provided:
   (``swap_deltas`` builds an ``(n, n)`` candidate matrix and sorts every
   difference-triangle row; ``apply_swap`` re-scores from scratch), kept as
   the obviously-correct reference: the property tests assert bit-exact
-  cost/error/delta equivalence between both paths, and the
-  ``bench_incremental_vs_reference`` harness measures the speed-up.
+  cost/error/delta equivalence between both paths, and
+  ``tests/test_engine_speed.py`` gates the speed-up.
 """
 
 from __future__ import annotations
@@ -536,7 +536,10 @@ class CostasProblem(_CostasBase):
         """Score every swap involving column *i* from the count tables.
 
         Only the O(n·d) triangle cells a swap can affect are consulted; no
-        candidate permutation is built and nothing is sorted.
+        candidate permutation is built and nothing is sorted.  With the C
+        kernels the call mutates ``_cnt`` (it applies and reverts each swap)
+        and restores it before returning, as does :meth:`swap_delta`, so one
+        instance must not be scored from two threads at once.
         """
         if self._lib is not None:
             deltas = np.empty(self.size, dtype=np.int64)
@@ -817,7 +820,7 @@ class ReferenceCostasProblem(_CostasBase):
     row of every candidate, ``apply_swap`` re-evaluates the full cost, and
     ``variable_errors`` rescans the triangle.  Kept verbatim as the reference
     the incremental path is validated against (bit-exact equivalence) and
-    benchmarked against (``bench_incremental_vs_reference``); use
+    benchmarked against (``tests/test_engine_speed.py``); use
     :class:`CostasProblem` for anything performance-sensitive.
     """
 

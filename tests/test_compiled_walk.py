@@ -92,17 +92,20 @@ class TestRngStream:
 
 # ----------------------------------------------------------- trajectory spec
 def _problem_cases():
-    """(label, problem factory, params) across families and ablation flags."""
+    """(label, problem factory, params, iteration budget) across families
+    and ablation flags."""
     return [
         (
             "costas-dedicated",
             lambda: CostasProblem(9),
             ASParameters.for_costas(9),
+            400,
         ),
         (
             "costas-generic-reset",
             lambda: CostasProblem(9, dedicated_reset=False),
             ASParameters.for_costas(9),
+            400,
         ),
         (
             "costas-basic-nochang",
@@ -110,11 +113,28 @@ def _problem_cases():
                 8, err_weight="constant", use_chang=False, dedicated_reset=False
             ),
             ASParameters.for_problem_size(8),
+            400,
         ),
         (
             "costas-clear-tabu-off",
             lambda: CostasProblem(9),
             ASParameters.for_costas(9, clear_tabu_on_reset=False),
+            400,
+        ),
+        (
+            # The benchmark's order: a quarter of its iterations are
+            # dedicated resets, whose candidates are scored lazily.
+            "costas-16-benchmark",
+            lambda: CostasProblem(16),
+            ASParameters.for_costas(16),
+            1000,
+        ),
+        (
+            # Full triangle, D = 12: the most cells one swap score undoes.
+            "costas-13-nochang",
+            lambda: CostasProblem(13, use_chang=False),
+            ASParameters.for_costas(13),
+            400,
         ),
         (
             "queens",
@@ -122,6 +142,7 @@ def _problem_cases():
             ASParameters.for_problem_size(
                 10, plateau_probability=0.5, reset_limit=3
             ),
+            400,
         ),
         (
             "queens-restarts",
@@ -129,6 +150,7 @@ def _problem_cases():
             ASParameters.for_problem_size(
                 9, restart_limit=40, max_restarts=5, plateau_probability=0.3
             ),
+            400,
         ),
         (
             "all-interval",
@@ -140,6 +162,7 @@ def _problem_cases():
                 plateau_probability=0.9,
                 local_min_accept_probability=0.5,
             ),
+            400,
         ),
     ]
 
@@ -166,15 +189,16 @@ class TestTrajectoryBitExactness:
     """Compiled walk == Python mirror, one iteration at a time."""
 
     @pytest.mark.parametrize(
-        "label,factory,params",
+        "label,factory,params,budget",
         _problem_cases(),
         ids=[c[0] for c in _problem_cases()],
     )
     @pytest.mark.parametrize("seed", [0, 1, 12345])
-    def test_full_trajectory_matches_mirror(self, label, factory, params, seed):
+    def test_full_trajectory_matches_mirror(
+        self, label, factory, params, budget, seed
+    ):
         import dataclasses
 
-        budget = 400
         params = dataclasses.replace(params, max_iterations=budget)
         problem = factory()
         spec = walk_spec(problem, params)

@@ -87,6 +87,34 @@ class TestStaticEquivalence:
             for j in range(len(perm)):
                 assert inc.swap_delta(i, j) == ref.swap_delta(i, j)
 
+    @given(
+        perm=st.integers(min_value=4, max_value=20).flatmap(
+            lambda n: st.permutations(list(range(n)))
+        ),
+        use_chang=st.booleans(),
+        data=st.data(),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_scoring_leaves_tables_as_it_found_them(self, perm, use_chang, data):
+        # The C kernels score a swap by applying its events to the count
+        # tables and reverting them; no scoring call may leave a trace.
+        n = len(perm)
+        prob = CostasProblem(n, use_chang=use_chang)
+        prob.set_configuration(perm)
+        cnt, rows = prob._cnt.tobytes(), prob._rows.tobytes()
+        for i in range(n):
+            prob.swap_deltas(i)
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in data.draw(st.lists(pair, min_size=1, max_size=20)):
+            prob.swap_delta(i, j)
+        assert prob._cnt.tobytes() == cnt
+        assert prob._rows.tobytes() == rows
+        prob.check_consistency()
+
     @given(perm=perm_strategy, data=st.data())
     @settings(
         max_examples=40,

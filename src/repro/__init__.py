@@ -104,13 +104,14 @@ def parallel_solve_costas(
 ):
     """Solve the CAP with the paper's independent multi-walk scheme on this machine.
 
-    One worker process per walk; the first solution stops everyone.  Returns a
+    One walker process per walk, kept warm for later calls; the first
+    solution stops everyone.  Returns a
     :class:`repro.parallel.multiwalk.MultiWalkResult`.  ``solver`` selects the
     strategy (or a heterogeneous portfolio such as ``"adaptive+tabu"``) from
     the :mod:`repro.solvers` registry; the default is the compiled walk
     engine (``"compiled"``), and ``solver="adaptive"`` runs the NumPy engine.
     ``population`` additionally batches that many vectorised compiled-engine
-    walks inside each worker process (for strategies that support it).
+    walks inside each walker process (for strategies that support it).
     """
     from repro.experiments.base import costas_factory
     from repro.parallel.multiwalk import MultiWalkSolver

@@ -2,7 +2,8 @@
 
 Default (no paths) run covers the repo's invariant surfaces:
 
-* lock analysis over the five locked service modules;
+* lock analysis over the five locked service modules and the multi-walk's
+  walker registry (``parallel/multiwalk.py``);
 * determinism lint over ``core/``, ``models/``, ``baselines/``,
   ``parallel/`` (``core/rng.py`` itself is the sanctioned entropy module);
 * async-safety and HTTP retry-contract lint over the front-end,
@@ -81,12 +82,13 @@ _CHECKER_RULES = {
     http_contract.check_source: {"http-retry-contract"},
 }
 
-_LOCKED_SERVICE_FILES = (
+_LOCKED_FILES = (
     "src/repro/service/scheduler.py",
     "src/repro/service/store.py",
     "src/repro/service/qos.py",
     "src/repro/service/workers.py",
     "src/repro/service/api.py",
+    "src/repro/parallel/multiwalk.py",
 )
 _DETERMINISM_DIRS = ("core", "models", "baselines", "parallel")
 _FRONTEND_FILE = "src/repro/service/http_async.py"
@@ -152,7 +154,7 @@ def _check_python_file(
 def _default_targets(root: Path, rules: Optional[Sequence[str]]) -> List[Finding]:
     findings: List[Finding] = []
     if _checker_wanted(locks.check_source, rules):
-        for rel in _LOCKED_SERVICE_FILES:
+        for rel in _LOCKED_FILES:
             path = root / rel
             if path.exists():
                 findings.extend(_check_python_file(path, rel, [locks.check_source]))

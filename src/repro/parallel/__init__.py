@@ -9,9 +9,10 @@ other communication, which is why the approach scales to thousands of cores.
 This package reproduces that scheme at three levels of fidelity:
 
 * :class:`~repro.parallel.multiwalk.MultiWalkSolver` — **real parallelism** on
-  the local machine using ``multiprocessing`` (one OS process per walk, an
-  event for the termination broadcast).  This is the component a downstream
-  user actually solves problems with; it is limited by the host's core count.
+  the local machine using ``multiprocessing`` (one warm walker process per
+  walk, kept between solves, and an event for the termination broadcast).
+  This is the component a downstream user actually solves problems with; it
+  is limited by the host's core count.
 * :class:`~repro.parallel.mpi_sim.SimulatedCommunicator` and
   :class:`~repro.parallel.mpi_sim.SimulatedMultiWalk` — an **in-process
   simulation** of the message-passing implementation: ranks advance in slices

@@ -1,16 +1,17 @@
-"""Shared liveness machinery for process pools and multi-walk runs.
+"""Liveness machinery of the service's long-lived worker pool.
 
-Both the one-shot :class:`~repro.parallel.multiwalk.MultiWalkSolver` and the
-long-lived :class:`~repro.service.workers.WorkerPool` face the same failure
-mode: a child process can die (hard crash, OOM kill) *without* reporting
-through its result queue, and the naive ``queue.get()`` loop then blocks
-forever.  The cure is also the same — poll the queue with a timeout, watch
-process liveness between polls, and only declare a process lost after a grace
-period (the multiprocessing queue feeder may still be flushing a result the
-process enqueued just before exiting).
+A :class:`~repro.service.workers.WorkerPool` child process can die (hard
+crash, OOM kill) *without* reporting through the shared result queue, and
+the naive ``queue.get()`` loop then blocks forever.  The cure is to poll the
+queue with a timeout, watch process liveness between polls, and only declare
+a process lost after a grace period (the multiprocessing queue feeder may
+still be flushing a result the process enqueued just before exiting).
 
-:class:`DeadProcessDetector` packages that grace-period logic so the two
-collection loops share one implementation instead of duplicating it.
+:class:`DeadProcessDetector` packages that grace-period logic.  The
+multi-walk coordinator (:mod:`repro.parallel.multiwalk`) needs no grace: each
+of its walkers owns a pipe, whose send is synchronous, so a walker's death
+is EOF on that pipe.  It uses only :func:`poll_interval`, to pace its
+deadline checks.
 """
 
 from __future__ import annotations

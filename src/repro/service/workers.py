@@ -1,12 +1,14 @@
 """Long-lived process worker pool for the solver service.
 
-:class:`~repro.parallel.multiwalk.MultiWalkSolver` pays process spawn, module
-import and (on first use) C-kernel compilation on *every* request.  The pool
-amortises all of that: ``n_workers`` processes are started **once**, block on
-a shared job queue, run the requested strategy (the compiled Adaptive Search
-walk unless the job names another solver), and push results back on a shared
-result queue.  A request therefore costs one
-queue round-trip instead of a fork.
+Like the warm walkers of :class:`~repro.parallel.multiwalk.MultiWalkSolver`,
+the pool pays process start-up, module import and (on first use) C-kernel
+compilation once, not per request: ``n_workers`` processes are started
+**once**, block on a shared job queue, run the requested strategy (the
+compiled Adaptive Search walk unless the job names another solver), and push
+results back on a shared result queue.  A request therefore costs one queue
+round-trip instead of a fork.  Unlike the walkers, the pool serves many
+concurrent jobs, each of any family, order and walk count, and it cancels,
+respawns and requeues per slot.
 
 Per-walk control uses a dedicated ``multiprocessing.Event`` per worker
 incarnation (created just before its process starts, so it works under both
@@ -19,10 +21,10 @@ Events only after releasing its own lock.  Multi-walk jobs fan the same
 instance out to several slots with independent seeds; the first solved walk
 cancels its siblings, mirroring the paper's first-past-the-post multi-walk.
 
-Liveness reuses :class:`repro.parallel.liveness.DeadProcessDetector` (shared
-with the multi-walk solver): a worker that dies mid-job is detected, its slot
-respawned, and the walk requeued (bounded retries), so one OOM-killed child
-degrades a single request instead of wedging the service.
+Liveness uses :class:`repro.parallel.liveness.DeadProcessDetector`: a
+worker that dies mid-job is detected, its slot respawned, and the walk
+requeued (bounded retries), so one OOM-killed child degrades a single
+request instead of wedging the service.
 """
 
 from __future__ import annotations

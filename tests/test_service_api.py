@@ -267,10 +267,11 @@ class TestServiceTiers:
 
     @pytest.mark.slow
     def test_store_tier_answers_repeats_10x_faster_than_per_request_solving(self):
-        """The same mixed request stream through a fresh two-walk
-        MultiWalkSolver per request (the pre-service path) and through one
-        warm service: on the repeated and symmetry-equivalent requests the
-        service must be >= 10x faster."""
+        """The same mixed request stream solved once per request by a
+        two-walk MultiWalkSolver (the pre-service path: no store, no
+        coalescing, every request searched) and through one warm service: on
+        the repeated and symmetry-equivalent requests the service must be
+        >= 10x faster."""
         # (hot?, order) per request: the repeated order 9 and the symmetry-
         # equivalent 10 are hot; constructible 11-13 and fresh 8, 14 and 15
         # are interleaved with them.

@@ -6,8 +6,8 @@ model (weighted error function, Chang half-triangle, dedicated reset), and
 parallelise the solver as independent multi-walks with nearly linear speed-ups
 up to 8,192 cores.  This package rebuilds that whole stack in Python:
 
-* :mod:`repro.costas` — the Costas array domain (validation, difference
-  triangle, algebraic constructions, enumeration, symmetries, radar ambiguity);
+* :mod:`repro.costas` — the Costas array domain (validation, algebraic
+  constructions, enumeration, symmetries, radar ambiguity);
 * :mod:`repro.core` — the Adaptive Search engine and its problem interface;
 * :mod:`repro.models` — AS models of the CAP and of the related classic CSPs;
 * :mod:`repro.baselines` — Dialectic Search, tabu search, restart hill
@@ -17,8 +17,8 @@ up to 8,192 cores.  This package rebuilds that whole stack in Python:
   multi-walk driver and the service, with heterogeneous portfolio specs
   (``"adaptive+tabu"``) raced first-past-the-post;
 * :mod:`repro.parallel` — independent multi-walk parallelism: real
-  ``multiprocessing`` execution, a simulated message-passing layer, and a
-  virtual-cluster performance model of the paper's machines;
+  ``multiprocessing`` execution and a virtual-cluster performance model of
+  the paper's machines;
 * :mod:`repro.analysis` — run statistics, speed-ups and time-to-target fits;
 * :mod:`repro.experiments` — one driver per table and figure of the paper;
 * :mod:`repro.service` — solver-as-a-service on top of all of it: a
@@ -88,7 +88,7 @@ def solve_costas(
     from repro.solvers import run_spec
 
     problem = CostasProblem(order, **model_options)
-    result = run_spec(None, problem, seed, problem_kind="costas", as_params=params)
+    result = run_spec(None, problem, seed, as_params=params)
     return CostasSolveResult(result)
 
 
@@ -112,14 +112,15 @@ def parallel_solve_costas(
     engine (``"compiled"``), and ``solver="adaptive"`` runs the NumPy engine.
     ``population`` additionally batches that many vectorised compiled-engine
     walks inside each walker process (for strategies that support it).
+    ``params`` overrides the registry's tuned Costas table for the Adaptive
+    Search walks.
     """
-    from repro.experiments.base import costas_factory
     from repro.parallel.multiwalk import MultiWalkSolver
+    from repro.problems import problem_factory
 
-    parameters = params if params is not None else ASParameters.for_costas(order)
     multiwalk = MultiWalkSolver(
-        costas_factory(order),
-        parameters,
+        problem_factory("costas", order),
+        params,
         solver=solver,
         n_workers=n_workers,
         seed_root=seed_root,

@@ -359,65 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_family(args: argparse.Namespace, family) -> int:
-    """Sequential solve of a non-Costas family through the two registries."""
-    from repro.exceptions import SolverError
-    from repro.solvers import resolve_portfolio, run_spec
+def _print_solution(kind: str, configuration) -> None:
+    """Print a solution 1-based: a Costas permutation with its rendered grid,
+    any other family's array as it is."""
+    values = [int(v) + 1 for v in configuration]
+    if kind != "costas":
+        print("solution (1-based):", values)
+        return
+    from repro.costas import CostasArray
 
-    if args.construct_first:
-        solution = family.try_construct(args.order)
-        if solution is not None:
-            values = [int(v) + 1 for v in solution]
-            if args.quiet:
-                print(values)
-            else:
-                print(f"constructed algebraically ({family.name}, order {args.order})")
-                print("solution (1-based):", values)
-            return 0
-        if not args.quiet:
-            print(
-                f"no algebraic construction for {family.name} order {args.order}; "
-                "falling back to search"
-            )
-
-    if args.basic:
-        # The basic/optimised model split is a Costas-specific ablation.
-        print(
-            f"error: --basic only applies to the costas family, not {family.name}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        specs = resolve_portfolio(args.solver)
-        if len(specs) > 1:
-            print(
-                f"error: {args.solver!r} is a portfolio; sequential solve "
-                "runs one walk — use 'repro parallel --solver' to race it",
-                file=sys.stderr,
-            )
-            return 1
-        result = run_spec(
-            specs[0],
-            family.make(args.order),
-            seed=args.seed,
-            problem_kind=family.name,
-            max_time=args.max_time,
-            population=args.population,
-        )
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.quiet:
-        if not result.solved:
-            print(f"unsolved: {result.summary()}", file=sys.stderr)
-            return 1
-        print([int(v) + 1 for v in result.configuration])
-        return 0
-    print(result.summary())
-    _print_engine_line(result)
-    if result.solved:
-        print("solution (1-based):", [int(v) + 1 for v in result.configuration])
-    return 0 if result.solved else 1
+    print("permutation (1-based):", values)
+    print(CostasArray.from_permutation(configuration).render())
 
 
 def _print_engine_line(result) -> None:
@@ -437,44 +389,39 @@ def _print_engine_line(result) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.exceptions import SolverError
     from repro.problems import get_family
+    from repro.solvers import resolve_portfolio, run_spec
 
     try:
         family = get_family(args.kind)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if family.name != "costas":
-        return _solve_family(args, family)
 
     if args.construct_first:
-        from repro.costas import construct
-        from repro.exceptions import ConstructionError
-
-        try:
-            array = construct(args.order)
-        except ConstructionError:
-            if not args.quiet:
-                print(
-                    f"no algebraic construction for order {args.order}; "
-                    "falling back to search"
-                )
-        else:
+        solution = family.try_construct(args.order)
+        if solution is not None:
             if args.quiet:
-                print(list(array.to_one_based()))
+                print([int(v) + 1 for v in solution])
             else:
-                print(f"constructed algebraically (order {args.order})")
-                print("permutation (1-based):", list(array.to_one_based()))
-                print(array.render())
+                print(f"constructed algebraically ({family.name}, order {args.order})")
+                _print_solution(family.name, solution)
             return 0
+        if not args.quiet:
+            print(
+                f"no algebraic construction for {family.name} order {args.order}; "
+                "falling back to search"
+            )
 
     options = {}
     if args.basic:
+        # The basic/optimised model split is a Costas-specific ablation.
+        if family.name != "costas":
+            print(
+                f"error: --basic only applies to the costas family, not {family.name}",
+                file=sys.stderr,
+            )
+            return 1
         options = dict(err_weight="constant", use_chang=False, dedicated_reset=False)
-
-    from repro.costas import CostasArray
-    from repro.models import CostasProblem
-    from repro.solvers import resolve_portfolio, run_spec
-
     try:
         specs = resolve_portfolio(args.solver)
         if len(specs) > 1:
@@ -486,9 +433,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             return 1
         result = run_spec(
             specs[0],
-            CostasProblem(args.order, **options),
+            family.make(args.order, **options),
             seed=args.seed,
-            problem_kind="costas",
             max_time=args.max_time,
             population=args.population,
         )
@@ -504,18 +450,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(result.summary())
     _print_engine_line(result)
     if result.solved:
-        array = CostasArray.from_permutation(result.configuration)
-        print("permutation (1-based):", list(array.to_one_based()))
-        print(array.render())
+        _print_solution(family.name, result.configuration)
     return 0 if result.solved else 1
 
 
 def _cmd_parallel(args: argparse.Namespace) -> int:
-    from repro import parallel_solve_costas
-    from repro.costas import CostasArray
     from repro.exceptions import SolverError
-
-    from repro.problems import get_family
+    from repro.parallel.multiwalk import MultiWalkSolver
+    from repro.problems import get_family, problem_factory
 
     try:
         family = get_family(args.kind)
@@ -525,29 +467,14 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
             raise SolverError(
                 f"{family.name} order must be >= {family.min_order}, got {args.order}"
             )
-        if family.name == "costas":
-            outcome = parallel_solve_costas(
-                args.order,
-                n_workers=args.workers,
-                solver=args.solver,
-                seed_root=args.seed,
-                max_time=args.max_time,
-                population=args.population,
-            )
-        else:
-            from repro.core.params import ASParameters
-            from repro.parallel.multiwalk import MultiWalkSolver
-            from repro.problems import problem_factory
-
-            multiwalk = MultiWalkSolver(
-                problem_factory(family.name, args.order),
-                ASParameters.for_problem_size(family.instance_size(args.order)),
-                solver=args.solver,
-                n_workers=args.workers,
-                seed_root=args.seed,
-                population=args.population,
-            )
-            outcome = multiwalk.solve(max_time=args.max_time)
+        multiwalk = MultiWalkSolver(
+            problem_factory(family.name, args.order),
+            solver=args.solver,
+            n_workers=args.workers,
+            seed_root=args.seed,
+            population=args.population,
+        )
+        outcome = multiwalk.solve(max_time=args.max_time)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -562,14 +489,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     )
     print(outcome.best.summary())
     if outcome.solved:
-        if family.name == "costas":
-            array = CostasArray.from_permutation(outcome.best.configuration)
-            print("permutation (1-based):", list(array.to_one_based()))
-        else:
-            print(
-                "solution (1-based):",
-                [int(v) + 1 for v in outcome.best.configuration],
-            )
+        _print_solution(family.name, outcome.best.configuration)
     return 0 if outcome.solved else 1
 
 
@@ -892,8 +812,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
             via = f"{via} ({solver})"
         kind = payload.get("kind", args.kind)
         print(f"{kind} order {order} via {via} in {payload['elapsed']:.4f}s")
-        label = "permutation" if kind == "costas" else "solution"
-        print(f"{label} (1-based):", [v + 1 for v in payload["solution"]])
+        _print_solution(kind, payload["solution"])
 
     if args.batch:
         # One POST /solve-batch call: one HTTP round-trip, one scheduler pass

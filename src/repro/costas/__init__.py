@@ -11,10 +11,9 @@ This subpackage provides:
 * :class:`~repro.costas.array.CostasArray` — a validated, immutable Costas array
   value object with conversions, symmetries and export helpers;
 * :func:`~repro.costas.array.is_costas` / :func:`~repro.costas.array.violation_count`
-  — cheap checks usable on raw permutations;
-* :class:`~repro.costas.triangle.DifferenceTriangle` — an incrementally
-  maintainable difference-triangle/count structure (the data structure at the
-  heart of the Adaptive Search model of the paper);
+  / :func:`~repro.costas.array.difference_triangle` — cheap checks usable on
+  raw permutations (the Adaptive Search model of the paper, with its
+  incremental count tables, is :class:`repro.models.CostasProblem`);
 * :mod:`~repro.costas.constructions` — the Welch and Golomb/Lempel algebraic
   constructions (with a small finite-field substrate in
   :mod:`~repro.costas.galois`);
@@ -35,7 +34,6 @@ from repro.costas.array import (
     violation_count,
     violating_pairs,
 )
-from repro.costas.triangle import DifferenceTriangle
 from repro.costas.constructions import (
     construct,
     available_constructions,
@@ -73,7 +71,6 @@ from repro.costas.ambiguity import (
 
 __all__ = [
     "CostasArray",
-    "DifferenceTriangle",
     "as_permutation",
     "difference_triangle",
     "is_costas",

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.params import ASParameters
+from repro.core.problem import PermutationProblem
 from repro.experiments.config import ExperimentScale
-from repro.models.costas import CostasProblem
 from repro.parallel.runner import ExperimentRunner
+from repro.problems import problem_factory
 
 __all__ = [
     "ExperimentResult",
@@ -54,23 +55,10 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def costas_factory(order: int, **kwargs) -> Callable[[], CostasProblem]:
-    """Picklable factory of optimised Costas problems of the given order."""
-    return _CostasFactory(order, kwargs)
-
-
-class _CostasFactory:
-    """Picklable callable (``functools.partial`` of a local lambda would not pickle)."""
-
-    def __init__(self, order: int, kwargs: Dict[str, Any]):
-        self.order = order
-        self.kwargs = dict(kwargs)
-
-    def __call__(self) -> CostasProblem:
-        return CostasProblem(self.order, **self.kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"costas_factory({self.order}, {self.kwargs})"
+def costas_factory(order: int, **kwargs) -> Callable[[], PermutationProblem]:
+    """Picklable factory of Costas problems of the given order (the optimised
+    model unless *kwargs* say otherwise)."""
+    return problem_factory("costas", order, **kwargs)
 
 
 def cell_seed(*key: Any) -> int:

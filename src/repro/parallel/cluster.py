@@ -341,10 +341,16 @@ class VirtualCluster:
         seeds: Sequence[int],
     ) -> ParallelRunEstimate:
         """Exact simulation: actually run *cores* fresh sequential walks of
-        the default engine.
+        the default engine, then replay the termination protocol on their
+        iteration counts.
 
-        Only sensible for small core counts; the benchmark harness uses it to
-        validate the bootstrap estimates on overlapping configurations.
+        The winner is the solved walk with the fewest iterations; every other
+        walk stops at the first multiple of ``check_period`` after it (the
+        poll of Section V-A), or earlier when it finished on its own.  The
+        walks are independent, so running each to completion and replaying
+        the poll gives exactly the counts an interleaved run would.
+
+        Only sensible for small core counts.
         """
         self._check_cores(cores)
         if len(seeds) < cores:
@@ -352,12 +358,13 @@ class VirtualCluster:
                 f"{len(seeds)} seeds provided for {cores} cores"
             )
         iteration_counts: List[int] = []
-        solved_any = False
+        solved_counts: List[int] = []
         for seed in seeds[:cores]:
             result = run_spec(None, problem_factory(), int(seed), as_params=params)
             iteration_counts.append(result.iterations)
-            solved_any = solved_any or result.solved
-        winning = min(iteration_counts)
+            if result.solved:
+                solved_counts.append(result.iterations)
+        winning = min(solved_counts or iteration_counts)
         next_poll = (winning // self.check_period + 1) * self.check_period
         executed = [min(c, next_poll) for c in iteration_counts]
         return ParallelRunEstimate(
@@ -365,6 +372,6 @@ class VirtualCluster:
             machine=self.machine.name,
             winning_iterations=int(winning),
             wall_time=self.seconds(winning),
-            solved=solved_any,
+            solved=bool(solved_counts),
             total_iterations=int(sum(executed)),
         )

@@ -107,7 +107,7 @@ class MultiWalkResult:
 def _run_job(
     stop_event,
     problem_factory: Callable[[], PermutationProblem],
-    params: ASParameters,
+    params: Optional[ASParameters],
     spec_dict: dict,
     seed: int,
     walk_index: int,
@@ -280,7 +280,9 @@ class MultiWalkSolver:
         it is pickled with every walk's job, under ``fork`` too.
     params:
         Engine parameters shared by every Adaptive Search walk (walks whose
-        spec carries its own ``params`` use those instead).
+        spec carries its own ``params`` use those instead).  ``None`` (the
+        default) leaves the choice to :func:`repro.solvers.run_spec`: the
+        registry's tuned table for the problem's family.
     solver:
         Which strategy (or strategies) to run: a registry name
         (``"tabu"``), a spec dict (``{"name": "tabu", "params": {...}}``), a
@@ -323,7 +325,7 @@ class MultiWalkSolver:
         population: int = 1,
     ) -> None:
         self.problem_factory = problem_factory
-        self.params = params if params is not None else ASParameters()
+        self.params = params
         self.solver_specs = resolve_portfolio(solver)
         self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
         if self.n_workers < 1:

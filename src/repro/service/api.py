@@ -1101,7 +1101,6 @@ class SolverService:
             "kind": kind,
             "order": int(order),
             "solver": solver_payload,
-            "params": None,
             "max_time": max_time if max_time is not None else self.config.default_max_time,
             "deadline_at": deadline_at,
             "model_options": dict(model_options) if model_options else {},

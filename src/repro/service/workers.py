@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.params import ASParameters
 from repro.core.result import SolveResult
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.liveness import DeadProcessDetector, poll_interval
@@ -132,16 +131,14 @@ def _pool_worker(
 
     Loops forever: pull ``(job_id, walk_index, spec)``, announce the claim,
     solve, report.  ``spec`` is a plain dict (picklable under ``spawn``):
-    ``{"kind", "order", "solver": spec-dict | None, "params": dict | None,
-    "seed", "max_time", "deadline_at", "model_options", "population"}``.
-    ``kind`` selects
-    any family of the :mod:`repro.problems` registry; ``solver`` selects any
+    ``{"kind", "order", "solver": spec-dict | None, "seed", "max_time",
+    "deadline_at", "model_options", "population"}``.  ``kind`` selects any
+    family of the :mod:`repro.problems` registry; ``solver`` selects any
     strategy of the :mod:`repro.solvers` registry (``None`` = the registry
-    default, the compiled walk); ``params`` is the legacy engine-parameter
-    override honoured by the two Adaptive Search engines only —
-    solver-specific parameters travel inside ``solver``.  ``deadline_at`` is an absolute ``time.monotonic()``
-    deadline that caps the walk's time budget (an already-expired deadline
-    is reported as an error without solving).  ``population`` (default 1) runs that many
+    default, the compiled walk), and its parameters travel inside it.
+    ``deadline_at`` is an absolute ``time.monotonic()`` deadline that caps
+    the walk's time budget (an already-expired deadline is reported as an
+    error without solving).  ``population`` (default 1) runs that many
     vectorised walks per slot in one compiled-kernel batch, reporting the
     best walk's result; solvers without population support degrade to a
     single walk.
@@ -210,9 +207,6 @@ def _pool_worker(
             problem = make_problem(
                 spec["kind"], spec["order"], **spec.get("model_options", {})
             )
-            as_params = (
-                ASParameters(**spec["params"]) if spec.get("params") is not None else None
-            )
             interval = spec.get("progress_interval")
             reporter: Optional[_ProgressReporter] = None
             if interval:
@@ -234,11 +228,9 @@ def _pool_worker(
                 spec.get("solver"),
                 problem,
                 seed=spec["seed"],
-                problem_kind=spec["kind"],
                 stop_check=cancel_event.is_set,
                 max_time=max_time,
                 callbacks=reporter,
-                as_params=as_params,
                 population=int(spec.get("population") or 1),
             )
             result.extra["worker_id"] = worker_id

@@ -44,6 +44,7 @@ from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.core.result import SolveResult
 from repro.exceptions import SolverError
+from repro.problems import get_family
 
 __all__ = [
     "SolverInfo",
@@ -285,8 +286,9 @@ def build_solver(
     1. explicit ``spec.params`` — validated against the solver's parameter
        dataclass (unknown or invalid fields raise :class:`SolverError`);
     2. ``as_params`` — a caller-supplied :class:`ASParameters` honoured by the
-       adaptive engine only (the multi-walk driver's legacy ``params=``);
-    3. the registry's tuned defaults for ``(problem_kind, order)`` when known;
+       two Adaptive Search engines only;
+    3. the registry's tuned defaults for ``(problem_kind, order)`` when known
+       (:func:`run_spec` works ``problem_kind`` out from its problem);
     4. the parameter dataclass defaults.
     """
     resolved = resolve_spec(spec)
@@ -301,12 +303,21 @@ def build_solver(
     return info.make(params), info
 
 
+def _family_kind(problem: PermutationProblem) -> str:
+    """The problem family that claims *problem*'s name (through the family
+    registry's aliases, so ``"nqueens"`` is ``"queens"``), or ``""`` when no
+    family does."""
+    try:
+        return get_family(problem.name).name
+    except SolverError:
+        return ""
+
+
 def run_spec(
     spec: SpecLike,
     problem: PermutationProblem,
     seed: Any = None,
     *,
-    problem_kind: str = "",
     stop_check: Optional[Callable[[], bool]] = None,
     callbacks: Optional[Any] = None,
     max_time: Optional[float] = None,
@@ -314,6 +325,12 @@ def run_spec(
     population: int = 1,
 ) -> SolveResult:
     """Build the solver for *spec* and run it on *problem* in one call.
+
+    This is where a walk's Adaptive Search table is chosen when its caller
+    names none: the spec's own ``params`` win, then ``as_params``, then the
+    registry's tuned table for the family that claims ``problem.name`` at
+    ``problem.size``; a name no family claims gets the generic table
+    (:meth:`ASParameters.for_problem_size`).
 
     ``population > 1`` asks for a vectorised in-process population: when the
     resolved solver implements ``solve_population`` (the compiled walk
@@ -325,7 +342,10 @@ def run_spec(
     erroring.
     """
     solver, _ = build_solver(
-        spec, problem_kind=problem_kind, order=problem.size, as_params=as_params
+        spec,
+        problem_kind=_family_kind(problem),
+        order=problem.size,
+        as_params=as_params,
     )
     if population > 1 and hasattr(solver, "solve_population"):
         results = solver.solve_population(

@@ -472,7 +472,6 @@ class TestPlumbing:
             "compiled",
             CostasProblem(12),
             seed=11,
-            problem_kind="costas",
             population=4,
         )
         assert result.solved
@@ -483,7 +482,7 @@ class TestPlumbing:
         from repro.solvers import run_spec
 
         result = run_spec(
-            "tabu", CostasProblem(8), seed=0, problem_kind="costas", population=4
+            "tabu", CostasProblem(8), seed=0, population=4
         )
         assert result.solved
         assert "population" not in result.extra

@@ -44,7 +44,7 @@ def ks_critical_value(n: int, m: int, alpha: float = ALPHA) -> float:
 def _iterations(solver: str, order: int, seeds) -> np.ndarray:
     counts = []
     for seed in seeds:
-        result = run_spec(solver, CostasProblem(order), seed, problem_kind="costas")
+        result = run_spec(solver, CostasProblem(order), seed)
         assert result.solved, (solver, order, seed)
         counts.append(result.iterations)
     return np.array(counts)

@@ -11,6 +11,7 @@ from repro.costas.array import is_costas, violation_count
 from repro.exceptions import ModelError
 from repro.models.costas import (
     CostasProblem,
+    ReferenceCostasProblem,
     basic_costas_problem,
     optimized_costas_problem,
 )
@@ -58,6 +59,23 @@ class TestCostSemantics:
         assert problem.cost() == 0
         assert problem.is_solution()
         assert problem.as_costas_array().order == 5
+
+    @pytest.mark.parametrize("model", [CostasProblem, ReferenceCostasProblem])
+    @pytest.mark.parametrize("err_weight", ["quadratic", "constant"])
+    @pytest.mark.parametrize("use_chang", [False, True])
+    def test_identity_cost_is_the_weighted_repeat_count(self, model, err_weight, use_chang):
+        """Row d of the identity's difference triangle holds n - d copies of
+        d, so it repeats (n - d) - 1 times and costs ERR(d) each time, with
+        ERR(d) = n² − d² (the paper's weighting) or 1 (the basic model)."""
+        n = 9
+        problem = model(n, err_weight=err_weight, use_chang=use_chang)
+        problem.set_configuration(np.arange(n))
+        last_row = (n - 1) // 2 if use_chang else n - 1
+        expected = sum(
+            (n * n - d * d if err_weight == "quadratic" else 1) * ((n - d) - 1)
+            for d in range(1, last_row + 1)
+        )
+        assert problem.cost() == expected
 
     def test_basic_model_cost_equals_violation_count(self):
         perm = list(range(7))

@@ -18,6 +18,7 @@ from repro.parallel.cluster import (
     VirtualCluster,
     WalkSample,
 )
+from repro.solvers import run_spec
 
 
 def make_pool(rng: np.random.Generator, size: int = 200) -> list[WalkSample]:
@@ -170,3 +171,51 @@ class TestVirtualCluster:
             cluster.direct_run(
                 lambda: CostasProblem(9), ASParameters.for_costas(9), 3, seeds=[1]
             )
+
+
+class TestDirectRunTermination:
+    """``direct_run`` replays the paper's termination poll (Section V-A) on
+    real walks: the first solution stops every other walk at its next
+    ``check_period`` poll."""
+
+    @staticmethod
+    def _walks(order, params, seeds):
+        return [
+            run_spec(None, CostasProblem(order), seed, as_params=params)
+            for seed in seeds
+        ]
+
+    def test_winner_and_total_work_follow_the_poll(self):
+        params = ASParameters.for_costas(9)
+        seeds = [1, 2, 3, 4, 5, 6, 7]
+        cluster = VirtualCluster(LOCAL_HOST, host_iteration_rate=1000.0, check_period=16)
+        estimate = cluster.direct_run(
+            lambda: CostasProblem(9), params, cores=len(seeds), seeds=seeds
+        )
+        walks = self._walks(9, params, seeds)
+        winning = min(w.iterations for w in walks if w.solved)
+        next_poll = (winning // 16 + 1) * 16
+        assert estimate.solved
+        assert estimate.winning_iterations == winning
+        assert estimate.total_iterations == sum(
+            min(w.iterations, next_poll) for w in walks
+        )
+        # The seeds are chosen so some loser is really cut short by the poll.
+        assert any(w.iterations > next_poll for w in walks)
+
+    def test_unsolved_when_no_walk_solves_within_the_budget(self):
+        params = ASParameters.for_costas(12, max_iterations=3)
+        cluster = VirtualCluster(LOCAL_HOST, host_iteration_rate=1000.0)
+        estimate = cluster.direct_run(lambda: CostasProblem(12), params, 2, seeds=[1, 2])
+        assert not estimate.solved
+        assert estimate.total_iterations == 6
+
+    def test_more_walks_never_raise_the_winning_iterations(self):
+        params = ASParameters.for_costas(10)
+        cluster = VirtualCluster(LOCAL_HOST, host_iteration_rate=1000.0)
+        few = cluster.direct_run(lambda: CostasProblem(10), params, 2, seeds=[1, 2])
+        many = cluster.direct_run(
+            lambda: CostasProblem(10), params, 6, seeds=[1, 2, 3, 4, 5, 6]
+        )
+        assert few.solved and many.solved
+        assert many.winning_iterations <= few.winning_iterations

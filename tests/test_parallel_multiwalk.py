@@ -20,6 +20,8 @@ from repro.exceptions import ParallelExecutionError
 from repro.experiments.base import costas_factory
 from repro.parallel import multiwalk as mw
 from repro.parallel.multiwalk import MultiWalkSolver, close_idle_walkers
+from repro.problems import make_problem, problem_factory
+from repro.solvers import build_solver, run_spec
 
 requires_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="requires the fork start method"
@@ -62,6 +64,27 @@ class TestSingleWorker:
         outcome = solver.solve()
         assert outcome.seeds == [1234]
         assert outcome.best.seed == 1234
+
+
+class TestParameterChoice:
+    """A multi-walk given no parameters runs the registry's tuned table for
+    its problem's family, the same walk a sequential solve of that family and
+    seed runs."""
+
+    @pytest.mark.parametrize(
+        "kind, order", [("costas", 10), ("queens", 32), ("all-interval", 12)]
+    )
+    def test_untuned_multiwalk_runs_the_tuned_walk(self, kind, order):
+        for seed in range(10):
+            problem = make_problem(kind, order)
+            tuned, _ = build_solver(None, problem_kind=kind, order=problem.size)
+            expected = tuned.solve(problem, seed=seed).iterations
+            outcome = MultiWalkSolver(
+                problem_factory(kind, order), n_workers=1, seeds=[seed]
+            ).solve(max_time=2.0)
+            assert outcome.best.iterations == expected, (kind, seed)
+            sequential = run_spec(None, make_problem(kind, order), seed=seed)
+            assert sequential.iterations == expected, (kind, seed)
 
 
 class TestValidation:

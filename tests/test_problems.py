@@ -112,9 +112,7 @@ class TestValidators:
 
         for family in list_families():
             order = _SMALL_ORDERS[family.name]
-            result = run_spec(
-                None, family.make(order), seed=0, problem_kind=family.name
-            )
+            result = run_spec(None, family.make(order), seed=0)
             assert result.solved, family.name
             assert family.validator(np.asarray(result.configuration)), family.name
 

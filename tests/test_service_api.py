@@ -49,7 +49,7 @@ class TestWorkerPool:
 
         with WorkerPool(2, seed_root=1) as pool:
             pool.submit(
-                {"kind": "costas", "order": 9, "params": None, "max_time": 60.0},
+                {"kind": "costas", "order": 9, "max_time": 60.0},
                 on_done=on_done,
             )
             assert done.wait(timeout=60)
@@ -67,7 +67,7 @@ class TestWorkerPool:
             first_pids = {p.pid for p in pool._procs}
             for event in events:
                 pool.submit(
-                    {"kind": "costas", "order": 8, "params": None, "max_time": 60.0},
+                    {"kind": "costas", "order": 8, "max_time": 60.0},
                     on_done=lambda h, e=event: e.set(),
                 )
             for event in events:
@@ -86,7 +86,7 @@ class TestWorkerPool:
 
         with WorkerPool(2, seed_root=3) as pool:
             pool.submit(
-                {"kind": "costas", "order": 10, "params": None, "max_time": 60.0},
+                {"kind": "costas", "order": 10, "max_time": 60.0},
                 walks=2,
                 on_done=on_done,
             )
@@ -99,7 +99,7 @@ class TestWorkerPool:
         pool.start()
         # Order 20 will not solve instantly; abort must not wait for it.
         pool.submit(
-            {"kind": "costas", "order": 20, "params": None, "max_time": 300.0},
+            {"kind": "costas", "order": 20, "max_time": 300.0},
             on_done=lambda h: done.set(),
         )
         time.sleep(0.5)
@@ -125,7 +125,7 @@ class TestWorkerPool:
         try:
             # Park one worker on a hard instance...
             hard = pool.submit(
-                {"kind": "costas", "order": 22, "params": None, "max_time": 300.0},
+                {"kind": "costas", "order": 22, "max_time": 300.0},
                 on_done=lambda h: hard_done.set(),
             )
             deadline = time.perf_counter() + 30
@@ -144,7 +144,7 @@ class TestWorkerPool:
             ):
                 done = threading.Event()
                 pool.submit(
-                    {"kind": "costas", "order": 7, "params": None, "max_time": 30.0},
+                    {"kind": "costas", "order": 7, "max_time": 30.0},
                     on_done=lambda h, e=done: e.set(),
                 )
                 done.wait(timeout=30)

@@ -429,7 +429,7 @@ class TestDeadlines:
         pool.start()
         try:
             handle = pool.submit(
-                {"kind": "costas", "order": 22, "params": None, "max_time": 300.0},
+                {"kind": "costas", "order": 22, "max_time": 300.0},
                 on_done=lambda h: done.set(),
             )
             claim_deadline = time.monotonic() + 30.0

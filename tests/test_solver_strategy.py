@@ -20,6 +20,7 @@ from repro.core.strategy import SearchStrategy, StrategyRun
 from repro.costas.array import is_costas
 from repro.exceptions import SolverError
 from repro.models import CostasProblem, NQueensProblem
+from repro.models.costas import ReferenceCostasProblem
 from repro.problems import get_family, list_families
 from repro.solvers import (
     SolverSpec,
@@ -161,6 +162,29 @@ class TestRegistry:
         solver, _ = build_solver("adaptive", problem_kind="queens", order=32)
         assert solver.params.reset_percentage == 0.15
 
+    def test_run_spec_resolves_the_family_from_the_problem(self, monkeypatch):
+        """run_spec names the family that claims ``problem.name``, through
+        the family aliases ("nqueens" is queens); a name no family claims
+        gets the generic table ("")."""
+        import repro.solvers as solvers
+
+        kinds = []
+        real_build = solvers.build_solver
+
+        def recording_build(spec, **kwargs):
+            kinds.append((kwargs["problem_kind"], kwargs["order"]))
+            return real_build(spec, **kwargs)
+
+        monkeypatch.setattr(solvers, "build_solver", recording_build)
+        for problem in (
+            CostasProblem(9),
+            NQueensProblem(8),
+            get_family("magic-square").make(4),
+            ReferenceCostasProblem(9),
+        ):
+            run_spec(None, problem, seed=0, stop_check=lambda: True)
+        assert kinds == [("costas", 9), ("queens", 8), ("magic-square", 16), ("", 9)]
+
 
 class TestSpecsAndPortfolios:
     def test_resolve_spec_forms(self):
@@ -173,7 +197,7 @@ class TestSpecsAndPortfolios:
     def test_default_solve_runs_the_compiled_walk_or_its_fallback(self):
         """The default engine runs the walk in C when the kernels load and
         says so when a build without them falls back to NumPy."""
-        result = run_spec(None, CostasProblem(9), seed=3, problem_kind="costas")
+        result = run_spec(None, CostasProblem(9), seed=3)
         assert result.solved
         expected = "compiled" if _ckernels.load() is not None else "numpy-fallback"
         assert result.extra["engine"] == expected
@@ -219,7 +243,7 @@ class TestConformance:
         expected = 1 if info.problem_kinds == ("costas",) else len(list_families())
         assert len(problems) == expected
         for kind, factory in problems:
-            result = run_spec(_spec(name), factory(), seed=0, problem_kind=kind)
+            result = run_spec(_spec(name), factory(), seed=0)
             assert result.solved, f"{name} failed on {kind}: {result.summary()}"
             assert result.cost == 0
             # The family's own validator accepts the returned configuration.
@@ -231,8 +255,8 @@ class TestConformance:
     def test_deterministic_under_seed(self, name):
         info = get_solver(name)
         for kind, factory in _problems_for(info):
-            a = run_spec(_spec(name), factory(), seed=42, problem_kind=kind)
-            b = run_spec(_spec(name), factory(), seed=42, problem_kind=kind)
+            a = run_spec(_spec(name), factory(), seed=42)
+            b = run_spec(_spec(name), factory(), seed=42)
             assert list(a.configuration) == list(b.configuration)
             assert (a.cost, a.iterations, a.solved) == (b.cost, b.iterations, b.solved)
 
@@ -244,7 +268,6 @@ class TestConformance:
             _spec(name),
             CostasProblem(12),
             seed=0,
-            problem_kind="costas",
             stop_check=lambda: True,
         )
         assert not result.solved
@@ -266,7 +289,6 @@ class TestConformance:
             {"name": name, "params": params},
             CostasProblem(13),
             seed=3,
-            problem_kind="costas",
             stop_check=stop_after_first_poll,
         )
         if not result.solved:  # a solve within 2 iterations would be legitimate
@@ -281,7 +303,6 @@ class TestConformance:
             _spec(name),
             CostasProblem(20),
             seed=0,
-            problem_kind="costas",
             max_time=0.05,
         )
         assert not result.solved
@@ -290,7 +311,7 @@ class TestConformance:
     @pytest.mark.parametrize("name", solver_names())
     def test_result_is_well_formed(self, name):
         info = get_solver(name)
-        result = run_spec(_spec(name), CostasProblem(7), seed=1, problem_kind="costas")
+        result = run_spec(_spec(name), CostasProblem(7), seed=1)
         assert result.solver == (info.result_name or info.name)
         assert result.seed == 1
         assert result.wall_time >= 0.0
@@ -311,7 +332,6 @@ class TestConformance:
             _spec(name),
             CostasProblem(8),
             seed=0,
-            problem_kind="costas",
             callbacks=CallbackList([trace]),
         )
         assert result.solved
@@ -322,7 +342,7 @@ class TestConformance:
 
     def test_cp_rejects_non_costas_problems(self):
         with pytest.raises(SolverError, match="Costas"):
-            run_spec(_spec("cp"), NQueensProblem(8), seed=0, problem_kind="queens")
+            run_spec(_spec("cp"), NQueensProblem(8), seed=0)
 
 
 class TestStrategyRun:

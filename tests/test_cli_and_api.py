@@ -83,6 +83,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "walks" in out
 
+    def test_parallel_prints_the_costas_grid(self, capsys):
+        assert main(["parallel", "9", "--workers", "1", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "permutation (1-based)" in out
+        grid = [
+            line for line in out.splitlines() if line and set(line) <= {".", "X", " "}
+        ]
+        assert len(grid) == 9 and all(line.count("X") == 1 for line in grid)
+
 
 class TestProblemsCommand:
     def test_lists_all_families(self, capsys):
@@ -139,6 +148,22 @@ class TestSolveKind:
         ) == 0
         out = capsys.readouterr().out
         assert "walks" in out and "solution (1-based)" in out
+
+    def test_basic_is_refused_for_other_families(self, capsys):
+        assert main(["solve", "8", "--kind", "queens", "--basic"]) == 1
+        assert "--basic only applies to the costas family" in capsys.readouterr().err
+
+    def test_solve_refuses_a_portfolio(self, capsys):
+        assert main(["solve", "8", "--solver", "mixed"]) == 1
+        assert "is a portfolio" in capsys.readouterr().err
+
+    def test_solve_rejects_an_order_below_the_family_minimum(self, capsys):
+        assert main(["solve", "2", "--kind", "queens"]) == 1
+        assert "order >= 4" in capsys.readouterr().err
+
+    def test_parallel_rejects_an_order_below_the_family_minimum(self, capsys):
+        assert main(["parallel", "2", "--kind", "queens", "--workers", "1"]) == 1
+        assert "order must be >= 4" in capsys.readouterr().err
 
 
 class TestConvenienceApi:

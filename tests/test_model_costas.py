@@ -77,6 +77,64 @@ class TestCostSemantics:
         )
         assert problem.cost() == expected
 
+    @pytest.mark.parametrize(
+        "d, perm",
+        [
+            (1, [0, 1, 2, 7, 5, 4, 6, 3]),
+            (2, [0, 1, 6, 2, 4, 3, 7, 5]),
+            (3, [0, 4, 6, 1, 7, 5, 2, 3]),
+        ],
+    )
+    def test_one_repeat_in_row_d_costs_err_d(self, d, perm):
+        """Each permutation repeats one difference, in row d and nowhere
+        else, so it costs exactly ERR(d): n² − d² under the paper's
+        weighting, 1 under the basic one, on either triangle (Chang's
+        theorem puts every lone repeat in the half)."""
+        n = len(perm)
+        for model in (CostasProblem, ReferenceCostasProblem):
+            for use_chang in (True, False):
+                weighted = model(n, use_chang=use_chang)
+                weighted.set_configuration(perm)
+                assert weighted.cost() == n * n - d * d, (model, use_chang)
+                basic = model(n, err_weight="constant", use_chang=use_chang)
+                basic.set_configuration(perm)
+                assert basic.cost() == 1, (model, use_chang)
+
+    @pytest.mark.parametrize("err_weight", ["quadratic", "constant"])
+    @given(perm=perm_strategy)
+    def test_chang_half_never_costs_more_than_the_full_triangle(self, err_weight, perm):
+        n = len(perm)
+        half = CostasProblem(n, err_weight=err_weight, use_chang=True)
+        full = CostasProblem(n, err_weight=err_weight, use_chang=False)
+        half.set_configuration(perm)
+        full.set_configuration(perm)
+        assert half.max_distance == (n - 1) // 2 and full.max_distance == n - 1
+        assert half.cost() <= full.cost()
+        assert (full.cost() == 0) == is_costas(perm)
+
+    @pytest.mark.parametrize("model", [CostasProblem, ReferenceCostasProblem])
+    def test_a_repeat_charges_both_of_its_columns(self, model):
+        # Row 1 of [0, 1, 2] is [1, 1]: its second cell (columns 1 and 2)
+        # repeats the first, so columns 1 and 2 each get ERR(1) = 9 - 1 and
+        # column 0 gets nothing.
+        problem = model(3)
+        problem.set_configuration([0, 1, 2])
+        assert problem.variable_errors().tolist() == [0, 8, 8]
+        assert problem.cost() == 8
+
+    @pytest.mark.parametrize("model", [CostasProblem, ReferenceCostasProblem])
+    @given(
+        perm=perm_strategy,
+        err_weight=st.sampled_from(["quadratic", "constant"]),
+        use_chang=st.booleans(),
+    )
+    def test_errors_sum_to_twice_the_cost(self, model, perm, err_weight, use_chang):
+        """Every repeated cell adds ERR(d) to the cost once and to each of
+        its two columns' errors, so the projection carries the cost twice."""
+        problem = model(len(perm), err_weight=err_weight, use_chang=use_chang)
+        problem.set_configuration(perm)
+        assert int(problem.variable_errors().sum()) == 2 * problem.cost()
+
     def test_basic_model_cost_equals_violation_count(self):
         perm = list(range(7))
         problem = basic_costas_problem(7)
@@ -136,6 +194,18 @@ class TestMoves:
         cost = problem.cost()
         assert problem.apply_swap(3, 3) == cost
         assert problem.swap_delta(3, 3) == 0
+
+    @pytest.mark.parametrize("model", [CostasProblem, ReferenceCostasProblem])
+    def test_set_configuration_rebuilds_a_used_model(self, model, example_costas_5):
+        problem = model(5)
+        problem.set_configuration([0, 1, 2, 3, 4])
+        for i, j in [(0, 4), (1, 3), (2, 4)]:
+            problem.apply_swap(i, j)
+        assert problem.cost() > 0
+        problem.set_configuration(example_costas_5)
+        assert problem.cost() == 0
+        assert not problem.variable_errors().any()
+        problem.check_consistency()
 
     def test_check_consistency_detects_corruption(self):
         problem = CostasProblem(6)

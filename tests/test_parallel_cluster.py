@@ -219,3 +219,29 @@ class TestDirectRunTermination:
         )
         assert few.solved and many.solved
         assert many.winning_iterations <= few.winning_iterations
+
+    def test_one_core_runs_one_whole_walk(self):
+        params = ASParameters.for_costas(9)
+        cluster = VirtualCluster(LOCAL_HOST, host_iteration_rate=1000.0, check_period=16)
+        estimate = cluster.direct_run(lambda: CostasProblem(9), params, 1, seeds=[3])
+        (walk,) = self._walks(9, params, [3])
+        assert estimate.solved == walk.solved
+        assert estimate.winning_iterations == walk.iterations
+        assert estimate.total_iterations == walk.iterations
+        assert estimate.wall_time == pytest.approx(cluster.seconds(walk.iterations))
+
+    def test_runs_the_first_cores_seeds(self):
+        params = ASParameters.for_costas(9)
+        cluster = VirtualCluster(LOCAL_HOST, host_iteration_rate=1000.0)
+        exact = cluster.direct_run(lambda: CostasProblem(9), params, 2, seeds=[1, 2])
+        spare = cluster.direct_run(
+            lambda: CostasProblem(9), params, 2, seeds=[1, 2, 3, 4]
+        )
+        assert spare == exact
+
+    def test_rejects_a_run_without_cores(self):
+        cluster = VirtualCluster(LOCAL_HOST, host_iteration_rate=1000.0)
+        with pytest.raises(ParallelExecutionError):
+            cluster.direct_run(
+                lambda: CostasProblem(9), ASParameters.for_costas(9), 0, seeds=[]
+            )

@@ -9,6 +9,7 @@ from repro.analysis.stats import RunSummary
 from repro.core import _ckernels
 from repro.exceptions import AnalysisError, ParallelExecutionError
 from repro.experiments.base import costas_factory, costas_params
+from repro.models import CostasProblem
 from repro.parallel.cluster import HA8000, JUGENE, WalkSample
 from repro.parallel.runner import ExperimentRunner, RunPool
 
@@ -129,6 +130,16 @@ class TestExperimentRunner:
             env={**__import__("os").environ, "PYTHONHASHSEED": "424242"},
         )
         assert out.stdout.strip() == key
+
+    def test_costas_factory_builds_the_model_its_options_name(self):
+        # Pool cache keys hash the built problem's describe(), so the factory
+        # must build exactly the model its options name, also once pickled
+        # to a worker process.
+        import pickle
+
+        for options in ({}, {"err_weight": "constant", "use_chang": False}):
+            factory = pickle.loads(pickle.dumps(costas_factory(8, **options)))
+            assert factory().describe() == CostasProblem(8, **options).describe()
 
     def test_collect_pool_validation(self):
         runner = ExperimentRunner()

@@ -162,6 +162,26 @@ class TestRegistry:
         solver, _ = build_solver("adaptive", problem_kind="queens", order=32)
         assert solver.params.reset_percentage == 0.15
 
+    def test_params_precedence_spec_then_as_params_then_family_table(self):
+        """A spec's own params win over ``as_params``, which wins over the
+        family's tuned table."""
+        from repro.core.params import ASParameters
+
+        caller =ASParameters.for_costas(9, tabu_tenure=5)
+        solver, _ = build_solver(
+            {"name": "adaptive", "params": {"tabu_tenure": 3}},
+            problem_kind="costas",
+            order=9,
+            as_params=caller,
+        )
+        assert solver.params.tabu_tenure == 3
+        solver, _ = build_solver(
+            "adaptive", problem_kind="costas", order=9, as_params=caller
+        )
+        assert solver.params == caller
+        solver, _ = build_solver("adaptive", problem_kind="costas", order=9)
+        assert solver.params == ASParameters.for_costas(9)
+
     def test_run_spec_resolves_the_family_from_the_problem(self, monkeypatch):
         """run_spec names the family that claims ``problem.name``, through
         the family aliases ("nqueens" is queens); a name no family claims

@@ -45,7 +45,6 @@ from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.core.result import SolveResult
 from repro.exceptions import ParallelExecutionError
-from repro.parallel.liveness import poll_interval
 from repro.parallel.seeds import spawned_seeds
 from repro.solvers import SpecLike, portfolio_label, resolve_portfolio, run_spec
 
@@ -433,7 +432,8 @@ class MultiWalkSolver:
             if max_time is not None
             else None
         )
-        poll = poll_interval(join_timeout)
+        # Deadline checks between reports, bounded 50-500 ms.
+        poll = max(0.05, min(0.5, join_timeout / 10.0))
         # Graceful SIGINT/SIGTERM: the first signal tells every walk to stop
         # (they report partial stats); walks that fail to drain within
         # join_timeout are listed as missing.  Signal handlers can only be

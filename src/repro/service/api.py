@@ -121,8 +121,6 @@ class ServiceConfig:
     #: How many times one walk is requeued after its worker died; the retry
     #: delays follow an exponential-backoff policy inside the pool.
     max_walk_retries: int = 2
-    #: Seconds a worker may look dead before its walks are requeued.
-    liveness_grace: float = 5.0
     #: Seconds past a walk's time budget before it is declared hung and its
     #: worker terminated.
     hang_grace: float = 5.0
@@ -132,11 +130,11 @@ class ServiceConfig:
     drain_timeout: float = 10.0
     #: Seconds the pool may be observed with zero live workers before
     #: degraded mode refuses fresh solves.  Worker deaths are routinely
-    #: transient (the collector respawns them within ``liveness_grace``),
-    #: so a momentarily-empty pool queues work instead of bouncing it;
-    #: only a pool that *stays* dead — respawns not taking — trips the
-    #: refusal.  ``None`` derives ``max(2.0, 2 * liveness_grace)``.
-    pool_dead_grace: Optional[float] = None
+    #: transient (the collector sees each at once and respawns the slot,
+    #: backing off only while its workers keep dying), so a
+    #: momentarily-empty pool queues work instead of bouncing it; only a
+    #: pool that *stays* dead — respawns not taking — trips the refusal.
+    pool_dead_grace: float = 10.0
     #: QoS lanes: ``None`` keeps the single-lane scheduler (the pre-lane
     #: behaviour); ``True`` enables the stock interactive/batch/background
     #: policy; a ``--lanes`` spec string or a :class:`~repro.service.qos.LaneSpec`
@@ -391,7 +389,6 @@ class SolverService:
             mp_context=self.config.mp_context,
             seed_root=self.config.seed_root,
             max_walk_retries=self.config.max_walk_retries,
-            liveness_grace=self.config.liveness_grace,
             hang_grace=self.config.hang_grace,
             faults=self.fault_plan,
         )
@@ -415,10 +412,11 @@ class SolverService:
         # One permit per walks_per_job workers: jobs stay *queued in the
         # scheduler* (where they count toward max_depth and remain
         # coalescable/cancellable) until worker slots free up, instead of
-        # draining into the pool's opaque mp queue.  An ordinary job takes
-        # one permit; a portfolio job takes one permit per walks_per_job
-        # walks it fans out (capped at the pool), so heterogeneous requests
-        # cannot oversubscribe the workers behind the semaphore's back.
+        # draining into the pool's FIFO, which neither coalesces nor
+        # prioritises.  An ordinary job takes one permit; a portfolio job
+        # takes one permit per walks_per_job walks it fans out (capped at
+        # the pool), so heterogeneous requests cannot oversubscribe the
+        # workers behind the semaphore's back.
         self._total_slots = max(
             1, self.pool.n_workers // max(1, self.config.walks_per_job)
         )
@@ -434,11 +432,6 @@ class SolverService:
         #: workers (``None`` while any worker is alive); degraded mode only
         #: refuses once this persists past ``pool_dead_grace``.
         self._pool_dead_since: Optional[float] = None
-        self._pool_dead_grace = (
-            self.config.pool_dead_grace
-            if self.config.pool_dead_grace is not None
-            else max(2.0, 2.0 * self.config.liveness_grace)
-        )
         self._immediate = {"store": 0, "construction": 0}
         self._searches = 0
         self._batches = 0
@@ -576,7 +569,7 @@ class SolverService:
             now = time.monotonic()
             if self._pool_dead_since is None:
                 self._pool_dead_since = now
-            if now - self._pool_dead_since >= self._pool_dead_grace:
+            if now - self._pool_dead_since >= self.config.pool_dead_grace:
                 return "no live workers"
         else:
             self._pool_dead_since = None

@@ -63,7 +63,7 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 #: The named injection points.  Every rate key of a :class:`FaultPlan` must be
 #: one of these; the component that owns each point documents where it fires.
 FAULT_POINTS = (
-    "worker.crash",        # child hard-exits right after claiming a walk
+    "worker.crash",        # child hard-exits right after receiving a walk
     "worker.hang",         # child sleeps `hang_seconds` instead of solving
     "worker.slow",         # child sleeps `slow_seconds` before solving
     "store.read.error",    # a store SELECT raises "disk I/O error"

@@ -46,9 +46,9 @@ Endpoints
 ``GET /events/<request_id>``
     ``text/event-stream`` of the request's life: a ``status`` snapshot,
     throttled ``progress`` samples from the search walks (the strategy
-    harness's callback plumbing, crossing the worker boundary via the pool's
-    result queue), and exactly one terminal ``done`` / ``failed`` /
-    ``cancelled`` event, after which the stream closes.  A disconnecting
+    harness's callback plumbing, crossing the worker boundary over each
+    worker's pipe to the pool), and exactly one terminal ``done`` /
+    ``failed`` / ``cancelled`` event, after which the stream closes.  A disconnecting
     client is detected promptly (half-close or failed write) and its
     subscription is released — no leaked callbacks.
 ``GET /problems``, ``GET /stats``, ``GET /healthz``

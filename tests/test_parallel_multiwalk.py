@@ -470,56 +470,3 @@ class TestTerminalInterrupt:
         assert proc.returncode == 0, err
         assert json.loads(out) == {"interrupted": True, "walks": 2}
         assert "KeyboardInterrupt" not in err
-
-
-class TestLivenessHelper:
-    def test_detector_grace_period(self):
-        import time as time_module
-
-        from repro.parallel.liveness import DeadProcessDetector, poll_interval
-
-        class FakeProc:
-            def __init__(self, alive):
-                self.alive = alive
-
-            def is_alive(self):
-                return self.alive
-
-        detector = DeadProcessDetector(grace=0.05)
-        live = {0: FakeProc(True), 1: FakeProc(True)}
-        assert detector.poll(live) == []
-        live[1].alive = False
-        assert detector.poll(live) == []  # first observation starts the clock
-        time_module.sleep(0.08)
-        assert detector.poll(live) == [1]
-        # A respawn (alive again under the same id) drops the clock.
-        live[1].alive = True
-        assert detector.poll(live) == []
-        live[1].alive = False
-        assert detector.poll(live) == []  # fresh grace period
-        assert 0.05 <= poll_interval(1.0) <= 0.5
-
-    def test_detection_is_per_process_despite_sibling_progress(self):
-        """A dead process is detected even while siblings keep reporting —
-        the clock is per process, not shared (a shared clock starves
-        detection under steady traffic)."""
-        import time as time_module
-
-        from repro.parallel.liveness import DeadProcessDetector
-
-        class FakeProc:
-            def __init__(self, alive):
-                self.alive = alive
-
-            def is_alive(self):
-                return self.alive
-
-        detector = DeadProcessDetector(grace=0.05)
-        pending = {0: FakeProc(True), 1: FakeProc(False)}
-        deadline = time_module.perf_counter() + 2.0
-        declared = []
-        while time_module.perf_counter() < deadline and not declared:
-            # Sibling 0 "reports" constantly: pending churns but 1 stays dead.
-            declared = detector.poll(pending)
-            time_module.sleep(0.01)
-        assert declared == [1]

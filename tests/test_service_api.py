@@ -7,11 +7,17 @@ concurrent identical requests must trigger exactly **one** solve on the pool.
 from __future__ import annotations
 
 import inspect
+import multiprocessing as mp
 import os
 import queue as queue_module
+import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import CancelledError
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +42,39 @@ def service(tmp_path):
     )
     with SolverService(config) as svc:
         yield svc
+
+
+#: A 2-worker service in a fresh interpreter (start method in argv[1]): one
+#: search, then one worker killed and respawned; prints the workers' pids and
+#: waits to be killed.
+_KILLED_SERVICE = """
+import os, signal, sys, time
+from repro.service.api import ServiceConfig, SolverService
+
+service = SolverService(
+    ServiceConfig(store_path=":memory:", n_workers=2, mp_context=sys.argv[1])
+)
+service.submit(9, use_store=False, use_constructions=False).result(timeout=120)
+pool = service.pool
+os.kill(pool._procs[0].pid, signal.SIGKILL)
+deadline = time.monotonic() + 120
+while time.monotonic() < deadline:
+    stats = pool.stats()
+    if stats["workers_respawned"] == 1 and stats["alive_workers"] == 2:
+        break
+    time.sleep(0.02)
+print(*(proc.pid for proc in pool._procs), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process; a zombie awaiting its reaper is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 class TestWorkerPool:
@@ -111,8 +150,8 @@ class TestWorkerPool:
 
     def test_dead_worker_detected_despite_sibling_traffic(self):
         """A worker killed mid-job is respawned even while its sibling keeps
-        a steady result stream flowing (regression: a shared grace clock or
-        liveness-only-when-idle would starve detection forever)."""
+        a steady result stream flowing (regression: detection that waits
+        for a quiet collector would starve forever)."""
         import multiprocessing as mp
         import os
         import signal as signal_module
@@ -165,7 +204,7 @@ class TestWorkerPool:
 
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("requires the fork start method")
-        pool = WorkerPool(1, mp_context="fork", seed_root=5, liveness_grace=0.2)
+        pool = WorkerPool(1, mp_context="fork", seed_root=5)
         pool.start()
         try:
             first_event = pool._cancel_events[0]
@@ -204,6 +243,101 @@ class TestWorkerPool:
             release.set()
             stopper.join(timeout=30)
         assert not stopper.is_alive()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_exit_when_the_service_is_killed(self, method):
+        """A SIGKILLed service leaves no worker behind, a respawned one
+        included: each worker sees EOF on its pipe and exits."""
+        if method not in mp.get_all_start_methods() or not os.path.isdir("/proc"):
+            pytest.skip(f"requires the {method} start method and /proc")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop(FAULTS_ENV_VAR, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_SERVICE, method],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_every_job_settles_once_under_concurrent_submit_and_cancel(self):
+        """Four client threads submit and cancel against more workers than
+        cores, with a short switch interval: every job settles exactly once,
+        whether a cancel dropped its waiting walks or aborted a sent one."""
+        settled = []
+        handles = []
+        lock = threading.Lock()
+
+        def on_done(handle):
+            with lock:
+                settled.append(handle.job_id)
+
+        def client(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                handle = pool.submit(
+                    {"kind": "costas", "order": int(rng.integers(8, 14)), "max_time": 5.0},
+                    walks=int(rng.integers(1, 3)),
+                    on_done=on_done,
+                )
+                with lock:
+                    handles.append(handle)
+                if rng.random() < 0.4:
+                    pool.cancel(handle)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        pool = WorkerPool(3, seed_root=7)
+        try:
+            pool.start()
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            deadline = time.monotonic() + 60
+            while len(settled) < len(handles) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            stats = pool.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(drain=False, timeout=10.0)
+        assert sorted(settled) == sorted(h.job_id for h in handles)
+        assert len(handles) == 80
+        assert stats["jobs_done"] == 80 and stats["inflight_jobs"] == 0
+
+    def test_unpicklable_spec_fails_its_job_not_the_pool(self):
+        outcomes = queue_module.Queue()
+        with WorkerPool(1, seed_root=8) as pool:
+            pool.submit(
+                {"kind": "costas", "order": 8, "model_options": {"bad": lambda: 0}},
+                on_done=outcomes.put,
+            )
+            failed = outcomes.get(timeout=30)
+            assert failed.failure and not failed.results
+            pool.submit({"kind": "costas", "order": 8, "max_time": 60.0}, on_done=outcomes.put)
+            assert outcomes.get(timeout=60).solved
 
     def test_rejects_bad_configuration(self):
         from repro.exceptions import ParallelExecutionError
@@ -543,9 +677,9 @@ class TestProgressReporter:
         so the throttle must count iterations, not calls: with no interval,
         the first call at iteration 64 posts a sample."""
         posted = queue_module.Queue()
-        reporter = _ProgressReporter(posted, 0, 1, 0, "compiled", 0.0)
+        reporter = _ProgressReporter(SimpleNamespace(send=posted.put), "compiled", 0.0)
         reporter.on_iteration(64, 7)
-        assert posted.get_nowait()[4] == {
+        assert posted.get_nowait()[1] == {
             "iteration": 64, "cost": 7, "solver": "compiled"
         }
         reporter.on_iteration(100, 5)  # fewer than 64 iterations later
@@ -620,8 +754,10 @@ class TestProgressSubscriptions:
     def test_cancelled_request_publishes_terminal_cancelled(self, service):
         # Two submissions keep the pool busy so the third stays queued and
         # cancellable; it must stream a "cancelled" terminal event.
-        service.submit(20, use_constructions=False, use_store=False)
-        service.submit(21, use_constructions=False, use_store=False)
+        busy = [
+            service.submit(order, use_constructions=False, use_store=False)
+            for order in (20, 21)
+        ]
         request = service.submit(22, use_constructions=False, use_store=False)
         sub = service.subscribe(request.request_id)
         assert sub.get(timeout=1)["event"] == "status"
@@ -634,6 +770,9 @@ class TestProgressSubscriptions:
                 terminal = event
                 break
         assert terminal is not None and terminal["event"] == "cancelled"
+        # Otherwise the fixture's draining close waits out their budgets.
+        for other in busy:
+            service.cancel(other.request_id)
 
 
 class TestStartConcurrency:

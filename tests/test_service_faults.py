@@ -12,6 +12,7 @@ into fast 503s, and shutdown drains instead of killing mid-solve.
 from __future__ import annotations
 
 import json
+import multiprocessing as mp
 import os
 import re
 import signal
@@ -42,6 +43,7 @@ from repro.service.faults import (
 from repro.service.http_async import AsyncServiceHTTPServer
 from repro.service.scheduler import RequestScheduler
 from repro.service.store import SolutionStore, StoreUnavailableError
+from repro.service import workers
 from repro.service.workers import WorkerPool
 
 
@@ -472,7 +474,6 @@ def _chaos_config(tmp_path, faults, **overrides):
         n_workers=2,
         default_max_time=60.0,
         fault_plan=faults,
-        liveness_grace=0.3,
         hang_grace=0.3,
         max_walk_retries=4,
     )
@@ -566,7 +567,9 @@ class TestWorkerChaos:
 
 # ----------------------------------------------------------- degraded mode
 def _kill_pool_workers(service) -> None:
-    """SIGKILL every pool worker and wait until none reports alive."""
+    """SIGKILL every pool worker and wait until none reports alive.  Their
+    slots respawn only after a 60 s backoff, so the pool stays dead."""
+    service.pool._retry = RetryPolicy(base_delay=60.0, max_delay=60.0)
     for proc in service.pool._procs:
         if proc.is_alive() and proc.pid:
             os.kill(proc.pid, signal.SIGKILL)
@@ -586,7 +589,6 @@ class TestDegradedMode:
         config = ServiceConfig(
             store_path=str(tmp_path / "pool.db"),
             n_workers=1,
-            liveness_grace=30.0,  # no respawn during the test window
             pool_dead_grace=60.0,
         )
         with SolverService(config) as service:
@@ -607,7 +609,6 @@ class TestDegradedMode:
         config = ServiceConfig(
             store_path=str(tmp_path / "pool.db"),
             n_workers=1,
-            liveness_grace=30.0,
             pool_dead_grace=0.0,  # refuse on the first dead observation
         )
         with SolverService(config) as service:
@@ -625,6 +626,31 @@ class TestDegradedMode:
             # The construction tier still answers while the pool is gone.
             response = service.submit(12).result(timeout=30.0)
             assert response.solved and response.source == "construction"
+
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(), reason="requires the fork start method"
+    )
+    def test_crash_looping_slot_respawns_with_backoff(self, monkeypatch):
+        """A slot whose workers die before finishing a walk is respawned no
+        faster than the default retry policy's schedule allows, and a pool
+        that stays dead is refused once ``pool_dead_grace`` runs out."""
+        monkeypatch.setattr(workers, "_pool_worker", lambda *args: os._exit(3))
+        config = ServiceConfig(store_path=":memory:", n_workers=1, pool_dead_grace=0.0)
+        window = 2.0
+        # Respawns the unjittered schedule fits in the window (0.05, 0.1,
+        # 0.2, 0.4, 0.8 s): jitter only lengthens the delays.
+        schedule = RetryPolicy(jitter=0.0)
+        allowed, elapsed = 0, schedule.delay(0)
+        while elapsed <= window:
+            allowed += 1
+            elapsed += schedule.delay(allowed)
+        with SolverService(config) as service:
+            service.start()
+            time.sleep(window)
+            respawned = service.pool.stats()["workers_respawned"]
+            assert 2 <= respawned <= allowed
+            assert service.pool.stats()["alive_workers"] == 0
+            assert service.degraded_reason() == "no live workers"
 
     def test_quarantined_store_serves_constructions_only(self, tmp_path):
         path = tmp_path / "sick.db"
@@ -703,7 +729,6 @@ class TestHTTPChaos:
             n_workers=2,
             default_max_time=60.0,
             fault_plan="worker.crash=0.3,store.write.locked=0.3,seed=12",
-            liveness_grace=0.3,
             hang_grace=0.3,
             max_walk_retries=4,
             breaker_threshold=1000,  # keep the breaker out of this test
@@ -834,7 +859,6 @@ class TestHTTPChaos:
             store_path=str(tmp_path / "sse.db"),
             n_workers=1,
             default_max_time=60.0,
-            liveness_grace=0.3,
             max_walk_retries=0,
         )
         server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config)
@@ -948,7 +972,6 @@ class TestAvailabilityUnderCrashes:
             default_max_time=30.0,
             fault_plan=plan,
             max_walk_retries=4,
-            liveness_grace=0.4,
             hang_grace=1.0,
         ) as port:
             with ThreadPoolExecutor(concurrency) as clients:
@@ -1008,6 +1031,65 @@ class TestGracefulShutdown:
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait(timeout=10)
+
+    def test_ctrl_c_drains_without_killing_the_walk(self, tmp_path):
+        """A terminal's Ctrl-C reaches the whole process group, pool workers
+        included: the server drains and exits 0, and no worker dies of the
+        SIGINT with a traceback."""
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                "--port",
+                "0",
+                "--db",
+                str(tmp_path / "serve.db"),
+                "--workers",
+                "1",
+                "--quiet",
+                "--drain-timeout",
+                "1",
+            ],
+            env=_repro_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            match = re.search(r":(\d+) ", proc.stdout.readline())
+            assert match
+            port = int(match.group(1))
+            # The target cost of -1 is unreachable: the walk is still running
+            # when the signal lands.
+            status, _, _ = _http_call(
+                port,
+                "POST",
+                "/solve",
+                {
+                    "order": 18,
+                    "use_store": False,
+                    "use_constructions": False,
+                    "solver": {"name": "compiled", "params": {"target_cost": -1}},
+                },
+            )
+            assert status == 202
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                _, _, stats = _http_call(port, "GET", "/stats")
+                if stats["pool"]["inflight_jobs"]:
+                    break
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            assert "Traceback" not in err, err
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait(timeout=10)
 
     def test_async_stop_closes_sse_with_terminal_event(self, tmp_path):

@@ -17,6 +17,7 @@ code, so they are written to be cheap for small ``n`` and vectorised for large
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -73,13 +74,10 @@ def as_permutation(values: Sequence[int] | np.ndarray, *, copy: bool = True) -> 
     else:
         arr = arr.astype(np.int64, copy=copy)
     n = arr.size
-    seen = np.zeros(n, dtype=bool)
-    for v in arr:
-        if v < 0 or v >= n or seen[v]:
-            raise InvalidPermutationError(
-                f"sequence {list(map(int, arr))} is not a permutation of 0..{n - 1}"
-            )
-        seen[v] = True
+    if sorted(arr.tolist()) != list(range(n)):
+        raise InvalidPermutationError(
+            f"sequence {arr.tolist()} is not a permutation of 0..{n - 1}"
+        )
     return arr
 
 
@@ -132,14 +130,14 @@ def is_costas(perm: Sequence[int] | np.ndarray) -> bool:
     all — silently returning ``False`` for malformed input would make property
     testing and enumeration bugs very hard to notice.
     """
-    p = as_permutation(perm, copy=False)
-    n = p.size
+    values = as_permutation(perm, copy=False).tolist()
+    n = len(values)
     # By Chang's remark it is sufficient to check d <= (n-1)//2; we still check
     # every row here because this is the reference predicate used to validate
-    # the optimised models, and it must not share their assumptions.
+    # the optimised models, and it must not share their assumptions.  Rows are
+    # short, so a set of Python ints beats a NumPy sort per row.
     for d in range(1, n):
-        row = p[d:] - p[:-d]
-        if np.unique(row).size != row.size:
+        if len(set(map(operator.sub, values[d:], values))) != n - d:
             return False
     return True
 

@@ -47,7 +47,9 @@ Two implementations of the same model are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from types import MappingProxyType
+from typing import Any, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +67,92 @@ __all__ = [
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _err_weights(n: int, err_weight: str) -> np.ndarray:
+    """``ERR(d)`` for ``d = 0 .. n-1`` under the named weighting."""
+    if err_weight == "quadratic":
+        return np.array([n * n - d * d for d in range(n)], dtype=np.int64)
+    if err_weight == "constant":
+        return np.ones(n, dtype=np.int64)
+    raise ModelError(
+        f"err_weight must be 'quadratic' or 'constant', got {err_weight!r}"
+    )
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=32)
+def _index_tables(n: int, D: int, err_weight: str) -> Mapping[str, Any]:
+    """The read-only index tables of a :class:`CostasProblem`, keyed by
+    attribute name.
+
+    They depend only on the order, the largest distance ``D`` and the
+    weighting, and only the NumPy engine's paths read them (the compiled walk
+    reads none), so they are built once per shape, marked non-writeable and
+    shared by every instance of that shape.  The cache is bounded because the
+    service caps no order; an instance keeps its own references, so eviction
+    never pulls a table from under a live model.
+    """
+    d = np.arange(1, D + 1, dtype=np.int64)
+    weights = _err_weights(n, err_weight)
+    w_d = weights[1 : D + 1]
+    Wx = 2 * n  # table row width including the dump bucket
+    W = Wx - 1
+    all_j = np.arange(n, dtype=np.int64)
+    jm_all = all_j[:, None] - d  # cell j-d per (j, distance)
+    drow = np.broadcast_to(d, (n, D))
+    # Per-bucket weights for the delta matmuls (dump columns weigh 0).
+    wrepx = np.repeat(w_d, Wx)
+    wrepx.reshape(D, Wx)[:, W] = 0
+    didx = np.arange(D, dtype=np.int64)
+    # Per-culprit overlap fixups: the candidates j = i +/- d whose swap
+    # shares a triangle cell with column i (at most one j per distance).
+    overlap_p = []  # j == i + d: (j columns, their distance index)
+    overlap_m = []  # j == i - d
+    for i in range(n):
+        sel = i + d < n
+        overlap_p.append((_frozen((i + d)[sel]), _frozen(didx[sel])))
+        sel = i - d >= 0
+        overlap_m.append((_frozen((i - d)[sel]), _frozen(didx[sel])))
+    # Flat (distance, column) indices of every valid triangle cell.
+    dflat = np.repeat(d, n - d)
+    kflat = np.concatenate([np.arange(n - k) for k in range(1, D + 1)])
+    arrays = {
+        "_d": d,
+        "_w_d": w_d,
+        "_d4": np.tile(d, (4, 1)),  # distance of each affected cell
+        # Flat gather indices for the j-d cells: negative columns are steered
+        # to rows[0, 0], which row 0 (distance 0 is never evaluated) keeps at
+        # the sentinel, so off-triangle reads dump themselves.
+        "_jm_flat": np.where(jm_all >= 0, drow * n + jm_all, 0),
+        # Flat event keys: (candidate j, distance, value) -> one bincount bucket.
+        "_rowkey": (all_j[:, None] * D + didx) * Wx,
+        "_rowkey1": (didx * Wx)[:, None],
+        "_wrepx": wrepx,
+        "_dflat": dflat,
+        "_kflat": kflat,
+        "_c2flat": kflat + dflat,  # right column of each cell
+        "_wflat": weights[dflat],
+        # Batched candidate scoring: per-cell bincount key bases (the
+        # candidate-row offset is added at use).
+        "_score_base": (dflat - 1) * W,
+        "_score_wrep": np.repeat(w_d, W),
+    }
+    return MappingProxyType(
+        {
+            **{name: _frozen(arr) for name, arr in arrays.items()},
+            "_overlap_p": tuple(overlap_p),
+            "_overlap_m": tuple(overlap_m),
+            "_nb": n * D * Wx,
+            "_nb1": D * Wx,
+            "_score_block": D * W,
+            "_score_k0": int((w_d * (n - d)).sum()),
+        }
+    )
 
 
 class _CostasBase(PermutationProblem):
@@ -110,16 +198,8 @@ class _CostasBase(PermutationProblem):
         self._dedicated_reset = bool(dedicated_reset)
         self._max_d = (n - 1) // 2 if use_chang else n - 1
 
-        if err_weight == "quadratic":
-            weights = np.array([n * n - d * d for d in range(n)], dtype=np.int64)
-        elif err_weight == "constant":
-            weights = np.ones(n, dtype=np.int64)
-        else:
-            raise ModelError(
-                f"err_weight must be 'quadratic' or 'constant', got {err_weight!r}"
-            )
         self._err_weight_name = err_weight
-        self._weights = weights
+        self._weights = _err_weights(n, err_weight)
 
         if reset_constants is None:
             candidates = [1, 2, n - 2, n - 3]
@@ -335,48 +415,16 @@ class CostasProblem(_CostasBase):
         self._W = 2 * n - 1  # real values per table row; column W is the dump
         self._Wx = 2 * n  # table row width including the dump bucket
         self._L = 3 * n  # rows[] sentinel: clips past the dump for any delta
-        self._d = np.arange(1, D + 1, dtype=np.int64)
-        self._w_d = self._weights[1 : D + 1]
-        self._d4 = np.tile(self._d, (4, 1))  # distance of each affected cell
+        # The shared read-only tables (_d, _w_d, _rowkey, ...; see
+        # _index_tables), then the scratch buffers every instance owns.
+        vars(self).update(_index_tables(n, D, err_weight))
         self._cellbuf = np.empty((4, D), dtype=np.int64)
-        all_j = np.arange(n, dtype=np.int64)
-        jm_all = all_j[:, None] - self._d  # cell j-d per (j, distance)
-        drow = np.broadcast_to(self._d, (n, D))
-        # Flat gather indices for the j-d cells: negative columns are steered
-        # to rows[0, 0], which row 0 (distance 0 is never evaluated) keeps at
-        # the sentinel, so off-triangle reads dump themselves.
-        self._jm_flat = np.where(jm_all >= 0, drow * n + jm_all, 0)
-        # Flat event keys: (candidate j, distance, value) -> one bincount bucket.
-        self._rowkey = (all_j[:, None] * D + np.arange(D, dtype=np.int64)) * self._Wx
-        self._rowkey1 = (np.arange(D, dtype=np.int64) * self._Wx)[:, None]
-        self._nb = n * D * self._Wx
-        self._nb1 = D * self._Wx
-        # Per-bucket weights for the delta matmuls (dump columns weigh 0).
-        wrepx = np.repeat(self._w_d, self._Wx)
-        wrepx.reshape(D, self._Wx)[:, self._W] = 0
-        self._wrepx = wrepx
         # Event buffers, slot-major so every fill writes one contiguous block:
         # slots 0-3 = removed values of cells i-d, i, j-d, j; slots 4-7 = added.
         self._B = np.empty((8, n, D), dtype=np.int64)
         self._K = np.empty((8, n, D), dtype=np.int64)
         self._Brem1 = np.empty((D, 4), dtype=np.int64)
         self._Badd1 = np.empty((D, 4), dtype=np.int64)
-        didx = np.arange(D, dtype=np.int64)
-        # Per-culprit overlap fixups: the candidates j = i +/- d whose swap
-        # shares a triangle cell with column i (at most one j per distance).
-        self._overlap_p = []  # j == i + d: (j columns, their distance index)
-        self._overlap_m = []  # j == i - d
-        for i in range(n):
-            sel = i + self._d < n
-            self._overlap_p.append(((i + self._d)[sel], didx[sel]))
-            sel = i - self._d >= 0
-            self._overlap_m.append(((i - self._d)[sel], didx[sel]))
-        # Flat (distance, column) indices of every valid triangle cell.
-        lengths = n - self._d
-        self._dflat = np.repeat(self._d, lengths)
-        self._kflat = np.concatenate([np.arange(n - d) for d in range(1, D + 1)])
-        self._c2flat = self._kflat + self._dflat  # right column of each cell
-        self._wflat = self._weights[self._dflat]
 
         self._cnt = np.zeros((D + 1, self._Wx), dtype=np.int64)
         self._cnt1 = self._cnt[1:]  # distances 1..max_d (a view)
@@ -410,12 +458,6 @@ class CostasProblem(_CostasBase):
         # Family-1 reset perturbations are pure index remaps that depend only
         # on the anchor column; built on first use, cached per anchor.
         self._reset_idx_cache: dict = {}
-        # Batched candidate scoring: flat (distance, column) cell pairs and
-        # per-cell bincount key bases (candidate-row offset added at use).
-        self._score_base = (self._dflat - 1) * self._W
-        self._score_block = D * self._W
-        self._score_wrep = np.repeat(self._w_d, self._W)
-        self._score_k0 = int((self._w_d * (n - self._d)).sum())
         self.set_configuration(np.arange(n, dtype=np.int64))
 
     # ------------------------------------------------------------------- state

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.costas import symmetry as costas_symmetry
-from repro.costas.array import is_costas
+from repro.costas.array import as_permutation, is_costas
 from repro.costas.constructions import available_constructions
 from repro.costas.constructions import construct as costas_construct
 from repro.costas.database import known_count as costas_known_count
@@ -83,10 +83,21 @@ class SymmetryGroup:
 
     name: str
     elements: Tuple[Tuple[str, Callable[[np.ndarray], np.ndarray]], ...]
+    #: Called once per :meth:`images` / :meth:`variant` /
+    #: :meth:`canonical_form` call on the ``int64`` input, before any element
+    #: acts on it; raises for input the group cannot act on.  The elements
+    #: themselves do not validate.
+    check: Optional[Callable[[np.ndarray], Any]] = None
 
     def __post_init__(self) -> None:
         if not self.elements:
             raise ValueError("a symmetry group needs at least the identity element")
+
+    def _as_array(self, perm: Sequence[int] | np.ndarray) -> np.ndarray:
+        arr = np.asarray(perm, dtype=np.int64)
+        if self.check is not None:
+            self.check(arr)
+        return arr
 
     @property
     def order(self) -> int:
@@ -100,18 +111,16 @@ class SymmetryGroup:
     def images(self, perm: Sequence[int] | np.ndarray) -> List[np.ndarray]:
         """All images of *perm*, aligned with :attr:`element_names`
         (duplicates kept, so the list always has :attr:`order` entries)."""
-        arr = np.asarray(perm, dtype=np.int64)
+        arr = self._as_array(perm)
         return [op(arr) for _, op in self.elements]
 
     def variant(self, perm: Sequence[int] | np.ndarray, index: int) -> np.ndarray:
         """The ``index``-th image (taken modulo the group order)."""
-        arr = np.asarray(perm, dtype=np.int64)
-        return self.elements[index % self.order][1](arr)
+        return self.elements[index % self.order][1](self._as_array(perm))
 
     def orbit(self, perm: Sequence[int] | np.ndarray) -> List[Tuple[int, ...]]:
         """Distinct images of *perm*, as sorted tuples."""
-        seen = {tuple(int(v) for v in q) for q in self.images(perm)}
-        return sorted(seen)
+        return sorted({tuple(q.tolist()) for q in self.images(perm)})
 
     def canonical_form(self, perm: Sequence[int] | np.ndarray) -> np.ndarray:
         """Lexicographically smallest element of the orbit of *perm*."""
@@ -130,12 +139,26 @@ def _complement_op(perm: np.ndarray) -> np.ndarray:
     return (perm.size - 1) - perm
 
 
+def _transpose_op(perm: np.ndarray) -> np.ndarray:
+    """The inverse permutation (only meaningful on a permutation)."""
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size, dtype=perm.dtype)
+    return inverse
+
+
+def _check_permutation(arr: np.ndarray) -> None:
+    as_permutation(arr, copy=False)
+
+
 IDENTITY_GROUP = SymmetryGroup("identity", (("identity", _identity_op),))
 
 #: The dihedral group of the square acting on the permutation encoding, in
 #: the exact element order of :func:`repro.costas.symmetry.all_symmetries`
 #: (and :data:`~repro.costas.symmetry.SYMMETRY_NAMES`), so store reads keyed
-#: by variant index stay bit-identical with the pre-registry behaviour.
+#: by variant index stay bit-identical with the pre-registry behaviour.  It is
+#: composed from the unvalidated ops above and checks its input once per
+#: call, where each public :mod:`repro.costas.symmetry` function would
+#: re-validate it.
 DIHEDRAL_GROUP = SymmetryGroup(
     "dihedral-8",
     tuple(
@@ -143,18 +166,17 @@ DIHEDRAL_GROUP = SymmetryGroup(
             costas_symmetry.SYMMETRY_NAMES,
             (
                 _identity_op,
-                costas_symmetry.reverse,
-                costas_symmetry.complement,
-                lambda p: costas_symmetry.complement(costas_symmetry.reverse(p)),
-                costas_symmetry.transpose,
-                lambda p: costas_symmetry.reverse(costas_symmetry.transpose(p)),
-                lambda p: costas_symmetry.complement(costas_symmetry.transpose(p)),
-                lambda p: costas_symmetry.complement(
-                    costas_symmetry.reverse(costas_symmetry.transpose(p))
-                ),
+                _reverse_op,
+                _complement_op,
+                lambda p: _complement_op(_reverse_op(p)),
+                _transpose_op,
+                lambda p: _reverse_op(_transpose_op(p)),
+                lambda p: _complement_op(_transpose_op(p)),
+                lambda p: _complement_op(_reverse_op(_transpose_op(p))),
             ),
         )
     ),
+    check=_check_permutation,
 )
 
 def _grid_op(transform: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:

@@ -1111,18 +1111,25 @@ class SolverService:
             lambda fut: self._on_ticket_done(request, fut)
         )
 
-    #: Completed requests retained for ``GET /result/<id>``; beyond this the
-    #: oldest settled ones are evicted so a long-lived server stays bounded.
+    #: Requests retained for ``GET /result/<id>``.  Each registration beyond
+    #: this evicts the oldest settled ones (``_requests`` is insertion
+    #: ordered), reading the map from the front and stopping at the excess, so
+    #: the cost is the pending requests ahead of them, not the whole map.
+    #: Pending requests are never evicted.
     _MAX_RETAINED_REQUESTS = 10_000
 
     def _evict_settled_locked(self) -> None:
-        if len(self._requests) <= self._MAX_RETAINED_REQUESTS:
+        excess = len(self._requests) - self._MAX_RETAINED_REQUESTS
+        if excess <= 0:
             return
-        for request_id in list(self._requests):
-            if len(self._requests) <= self._MAX_RETAINED_REQUESTS:
-                break
-            if self._requests[request_id].future.done():
-                del self._requests[request_id]
+        settled: List[str] = []
+        for request_id, request in self._requests.items():
+            if request.future.done():
+                settled.append(request_id)
+                if len(settled) == excess:
+                    break
+        for request_id in settled:
+            del self._requests[request_id]
 
     @staticmethod
     def _instance_key(kind: str, order: int, payload: Dict[str, Any]) -> Tuple[Any, ...]:

@@ -533,22 +533,23 @@ class AsyncServiceHTTPServer:
             return self._deadline_response(exc)
         except ReproError as exc:
             return 400, {"error": str(exc)}, False
-        if wait or service_request.done():
-            return await self._respond_with_result(
-                service_request.request_id, wait=wait
-            )
-        return (
-            202,
-            {"request_id": service_request.request_id, "status": "pending"},
-            False,
-        )
+        # Answer from the request submit returned: looking it up again by id
+        # would cost a second executor hop on every /solve.
+        return await self._respond_with_request(service_request, wait=wait)
 
     async def _respond_with_result(
         self, request_id: str, *, wait: bool
     ) -> Tuple[int, Dict[str, Any], bool]:
+        """``GET /result/<id>``: look the id up, then answer as for /solve."""
         service_request = await self._call(self.service.request, request_id)
         if service_request is None:
             return 404, {"error": f"unknown request id {request_id!r}"}, False
+        return await self._respond_with_request(service_request, wait=wait)
+
+    async def _respond_with_request(
+        self, service_request: ServiceRequest, *, wait: bool
+    ) -> Tuple[int, Dict[str, Any], bool]:
+        request_id = service_request.request_id
         if not wait and not service_request.done():
             return 202, {"request_id": request_id, "status": "pending"}, False
         try:

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,24 @@ def rng() -> np.random.Generator:
 def example_costas_5():
     """The order-5 Costas array used as the running example in the paper ([3,4,2,1,5])."""
     return [2, 3, 1, 0, 4]  # 0-based version of the paper's [3, 4, 2, 1, 5]
+
+
+@pytest.fixture
+def recorded_sleeps(monkeypatch):
+    """Delays the test's own thread asks ``time.sleep`` for, recorded instead
+    of slept; other threads (a background server's) still sleep for real."""
+    delays = []
+    real_sleep = time.sleep
+    caller = threading.current_thread()
+
+    def sleep(seconds):
+        if threading.current_thread() is caller:
+            delays.append(seconds)
+        else:
+            real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    return delays
 
 
 @pytest.fixture

@@ -308,6 +308,10 @@ class TestServiceCommands:
         finally:
             server.stop(drain=False)
 
-    def test_request_unreachable_server(self, capsys):
+    def test_request_unreachable_server(self, capsys, recorded_sleeps):
         assert main(["request", "12", "--url", "http://127.0.0.1:9", "--timeout", "1"]) == 1
         assert "cannot reach" in capsys.readouterr().err
+        # The default three retries back off exponentially from 0.4 s.
+        assert len(recorded_sleeps) == 3
+        for retry, delay in enumerate(recorded_sleeps, start=1):
+            assert delay >= 0.2 * 2**retry

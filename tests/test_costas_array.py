@@ -114,6 +114,33 @@ class TestIsCostas:
         with pytest.raises(InvalidPermutationError):
             is_costas([0, 0, 1])
 
+    def test_matches_pairwise_displacement_vectors(self, rng):
+        """The reference predicate against the definition: all displacement
+        vectors between marks distinct.  Constructed arrays and their
+        single-swap neighbours give both verdicts at every order."""
+        from repro.costas.constructions import available_constructions, construct
+
+        def brute_force(p):
+            vectors = [
+                (j - i, p[j] - p[i])
+                for i in range(len(p))
+                for j in range(i + 1, len(p))
+            ]
+            return len(set(vectors)) == len(vectors)
+
+        perms = [rng.permutation(n).tolist() for n in range(1, 31) for _ in range(4)]
+        for n in range(3, 31):
+            if available_constructions(n):
+                base = construct(n).to_array().tolist()
+                perms.append(base)
+                for i, j in zip(rng.integers(0, n, 8), rng.integers(0, n, 8)):
+                    swapped = list(base)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    perms.append(swapped)
+        verdicts = [is_costas(p) for p in perms]
+        assert verdicts == [brute_force(p) for p in perms]
+        assert any(verdicts) and not all(verdicts)
+
     @given(permutations)
     def test_equivalent_to_violation_count_zero(self, perm):
         assert is_costas(perm) == (violation_count(perm) == 0)

@@ -51,6 +51,23 @@ class TestConstruction:
         with pytest.raises(ModelError):
             problem.set_configuration([0, 0, 1, 2, 3, 4])
 
+    def test_index_tables_are_shared_read_only_and_scratch_is_not(self):
+        """Models of one shape share the NumPy path's index tables, frozen;
+        the state and scratch buffers every walk writes stay per instance."""
+        a, b = CostasProblem(12), CostasProblem(12)
+        assert a._rowkey is b._rowkey and a._overlap_p is b._overlap_p
+        assert not a._rowkey.flags.writeable and not a._w_d.flags.writeable
+        for name in ("_B", "_K", "_Brem1", "_Badd1", "_cellbuf", "_cnt", "_rows"):
+            assert getattr(a, name) is not getattr(b, name), name
+        assert a._reset_idx_cache is not b._reset_idx_cache
+        constant = CostasProblem(12, err_weight="constant")
+        assert constant._wrepx is not a._wrepx
+        # Walking one model leaves its twin's cost and tables untouched.
+        a.set_configuration([11, 0, 10, 1, 9, 2, 8, 3, 7, 4, 6, 5])
+        a.apply_swap(0, 5)
+        assert b.cost() == CostasProblem(12).cost()
+        b.check_consistency()
+
 
 class TestCostSemantics:
     def test_zero_cost_on_costas_array(self, example_costas_5):

@@ -16,7 +16,7 @@ import pytest
 
 from repro.costas.array import is_costas
 from repro.costas.symmetry import SYMMETRY_NAMES, all_symmetries, canonical_form
-from repro.exceptions import SolverError
+from repro.exceptions import InvalidPermutationError, SolverError
 from repro.problems import (
     DIHEDRAL_GROUP,
     GRID_DIHEDRAL_GROUP,
@@ -124,17 +124,33 @@ class TestSymmetryGroups:
         assert DIHEDRAL_GROUP.order == 8
         assert DIHEDRAL_GROUP.element_names == SYMMETRY_NAMES
 
-    def test_dihedral_group_matches_legacy_costas_symmetries(self):
+    @pytest.mark.parametrize("kind", ["costas", "queens"])
+    def test_dihedral_group_matches_legacy_costas_symmetries(self, kind):
         """Bit-identical with repro.costas.symmetry: same images, same order,
-        same canonical forms — the store's on-disk keys must not change."""
-        family = get_family("costas")
-        arr = family.try_construct(12)
-        legacy = all_symmetries(arr)
-        new = family.symmetry.images(arr)
-        assert len(legacy) == len(new) == 8
-        for a, b in zip(legacy, new):
-            assert np.array_equal(a, b)
-        assert np.array_equal(family.canonical_form(arr), canonical_form(arr))
+        same canonical forms — the store keys rows by canonical form, so a
+        changed form would split the classes of existing stores."""
+        family = get_family(kind)
+        rng = np.random.default_rng(26)
+        perms = [get_family("costas").try_construct(12)]
+        perms += [rng.permutation(n) for n in range(1, 31) for _ in range(4)]
+        for arr in perms:
+            legacy = all_symmetries(arr)
+            new = family.symmetry.images(arr)
+            assert len(legacy) == len(new) == 8
+            for a, b in zip(legacy, new):
+                assert np.array_equal(a, b)
+            assert np.array_equal(family.canonical_form(arr), canonical_form(arr))
+
+    @pytest.mark.parametrize("kind", ["costas", "queens"])
+    def test_dihedral_group_rejects_non_permutations(self, kind):
+        family = get_family(kind)
+        for bad in ([0, 0, 1], [0, 1, 3], []):
+            with pytest.raises(InvalidPermutationError):
+                canonical_form(bad)
+            with pytest.raises(InvalidPermutationError):
+                family.canonical_form(bad)
+            with pytest.raises(InvalidPermutationError):
+                family.symmetry.variant(bad, 0)
 
     @pytest.mark.parametrize("kind", ["costas", "queens", "all-interval"])
     def test_group_elements_preserve_solutions(self, kind):

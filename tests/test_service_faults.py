@@ -1150,7 +1150,9 @@ class TestGracefulShutdown:
 
 # ---------------------------------------------------------------- CLI client
 class TestClientRetries:
-    def test_request_retries_on_503_with_backoff(self, tmp_path, capsys):
+    def test_request_retries_on_503_with_backoff(
+        self, tmp_path, capsys, recorded_sleeps
+    ):
         """A degraded server answers 503 + Retry-After; the client retries,
         then reports the failure cleanly when the condition persists."""
         from repro.cli import main
@@ -1178,6 +1180,9 @@ class TestClientRetries:
             captured = capsys.readouterr()
             assert code == 2  # exhausted retries on a persistent 503
             assert captured.err.count("retry") >= 2
+            # Both retries waited out the quarantined store's Retry-After: 5.
+            assert len(recorded_sleeps) == 2
+            assert all(delay >= 5.0 for delay in recorded_sleeps)
         finally:
             server.stop(drain=False)
 

@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.costas.array import is_costas
-from repro.service.api import ServiceConfig
+from repro.service.api import ServiceConfig, SolverService
 from repro.service.http_async import AsyncServiceHTTPServer
 
 
@@ -196,3 +196,79 @@ class TestCoalescedBurstOverHTTP:
             )
             assert status == 200 and payload["source"] == "store"
         assert server.service.pool.stats()["jobs_done"] == before
+
+
+class TestRequestRetention:
+    def test_oldest_settled_requests_are_evicted_and_pending_survive(
+        self, tmp_path, monkeypatch
+    ):
+        """Beyond the retention limit the oldest settled requests are
+        forgotten; pending ones stay, however old they are."""
+        limit = 4
+        monkeypatch.setattr(SolverService, "_MAX_RETAINED_REQUESTS", limit)
+        srv = AsyncServiceHTTPServer(
+            ("127.0.0.1", 0),
+            config=ServiceConfig(
+                store_path=str(tmp_path / "retain.db"),
+                n_workers=1,
+                default_max_time=300.0,
+            ),
+        )
+        srv.start_background()
+        service = srv.service
+        try:
+            # Park the single worker on a hard order, so the search queued
+            # behind it stays pending while the store hits go by.
+            blocker = service.submit(21, use_store=False, use_constructions=False)
+            pending = service.submit(9, use_store=False, use_constructions=False)
+            hits = []
+            for _ in range(8):
+                hit = service.submit(12)
+                assert hit.done()
+                hits.append(hit.request_id)
+                assert len(service._requests) <= limit
+            assert not pending.done()
+            evicted, kept = hits[:-2], hits[-2:]
+            for rid in evicted:
+                assert service.request(rid) is None
+                assert _call(srv, "GET", f"/result/{rid}")[0] == 404
+                assert service.cancel(rid) is False
+            for rid in kept:
+                status, payload = _call(srv, "GET", f"/result/{rid}")
+                assert status == 200 and payload["source"] == "store"
+            assert _call(srv, "GET", f"/result/{pending.request_id}")[0] == 202
+            assert service.cancel(blocker.request_id)
+            assert pending.result(timeout=120).source == "search"
+            status, payload = _call(srv, "GET", f"/result/{pending.request_id}")
+            assert status == 200 and payload["solved"]
+        finally:
+            srv.stop(drain=False)
+
+
+class TestExecutorHops:
+    @pytest.mark.parametrize(
+        "body, source",
+        [
+            ({"order": 10, "wait": True}, "store"),
+            (
+                {"order": 9, "use_store": False, "use_constructions": False, "wait": True},
+                "search",
+            ),
+        ],
+        ids=["store-hit", "wait-search"],
+    )
+    def test_solve_takes_one_executor_hop(self, server, monkeypatch, body, source):
+        """/solve answers from the request submit returned: one blocking
+        call on the executor, not a second one to look it up by id."""
+        _call(server, "POST", "/solve", {"order": 10, "wait": True})  # warm
+        hops = []
+        submit = server._executor.submit
+
+        def counting_submit(fn, *args, **kwargs):
+            hops.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(server._executor, "submit", counting_submit)
+        status, payload = _call(server, "POST", "/solve", body)
+        assert status == 200 and payload["source"] == source
+        assert len(hops) == 1

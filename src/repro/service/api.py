@@ -25,12 +25,11 @@ keywords.
 from __future__ import annotations
 
 import itertools
-import queue as queue_module
 import threading
 import time
 from concurrent.futures import CancelledError, Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -262,91 +261,45 @@ _TERMINAL_EVENTS = frozenset({"done", "failed", "cancelled"})
 class ProgressSubscription:
     """One consumer's live event stream for one request.
 
-    Obtained from :meth:`SolverService.subscribe`; the HTTP layer's
-    ``GET /events/<id>`` turns it into a ``text/event-stream``.  Events are
-    plain dicts with an ``"event"`` key: ``"status"`` (the initial snapshot),
-    ``"progress"`` (throttled per-walk search samples straight from the
-    strategy harness's callback plumbing), and exactly one terminal event —
-    ``"done"`` (with the full result payload), ``"failed"`` or
-    ``"cancelled"`` — after which :meth:`get` returns ``None`` forever.
-
-    The queue is bounded; when a slow consumer falls behind, the oldest
-    *progress* sample is dropped in favour of the newest (terminal events are
-    never dropped: :meth:`push` retries after evicting).
+    Obtained from :meth:`SolverService.subscribe`, which sends every event
+    to the listener it was given; the HTTP layer's ``GET /events/<id>``
+    turns them into a ``text/event-stream``.  Events are plain dicts with an
+    ``"event"`` key: ``"status"`` (the initial snapshot), ``"progress"``
+    (throttled per-walk search samples straight from the strategy harness's
+    callback plumbing), and exactly one terminal event — ``"done"`` (with
+    the full result payload), ``"failed"`` or ``"cancelled"`` — which closes
+    the stream.  The listener runs on the thread that produced the event,
+    so it must be cheap and must not block.
     """
 
-    def __init__(self, request_id: str, *, maxsize: int = 256) -> None:
+    def __init__(
+        self, request_id: str, listener: Callable[[Dict[str, Any]], None]
+    ) -> None:
         self.request_id = request_id
-        self._queue: "queue_module.Queue[Dict[str, Any]]" = queue_module.Queue(maxsize)
-        self._closed = threading.Event()
-        self._terminated = False
-        self._listener: Optional[Any] = None
-        self._listener_lock = threading.Lock()
+        self._listener = listener
+        self._closed = False
+        # Serialises deliveries, so the listener sees the events in order and
+        # nothing after the terminal one.
+        self._lock = threading.Lock()
 
     def push(self, event: Dict[str, Any]) -> None:
-        """Enqueue *event*, evicting the oldest sample when full."""
-        if self._closed.is_set():
-            return
-        # The queue fallback stays inside the same critical section as the
-        # listener check: otherwise an event racing set_listener() could land
-        # in the queue *after* the listener drained it and never be seen.
-        with self._listener_lock:
-            listener = self._listener
-            if listener is not None:
-                try:
-                    listener(event)
-                except Exception:  # pragma: no cover - consumer bug guard
-                    pass
+        """Deliver *event*, unless the stream is closed."""
+        with self._lock:
+            if self._closed:
                 return
-            while True:
-                try:
-                    self._queue.put_nowait(event)
-                    return
-                except queue_module.Full:
-                    try:
-                        self._queue.get_nowait()
-                    except queue_module.Empty:  # pragma: no cover - racing consumer
-                        pass
-
-    def set_listener(self, listener: Any) -> None:
-        """Switch from pull (:meth:`get`) to push delivery.
-
-        Already-queued events are replayed to *listener* first (in order),
-        then every future :meth:`push` invokes it directly.  The async HTTP
-        front-end uses this to bridge events onto its loop without parking a
-        thread per stream.
-        """
-        with self._listener_lock:
-            while True:
-                try:
-                    event = self._queue.get_nowait()
-                except queue_module.Empty:
-                    break
-                try:
-                    listener(event)
-                except Exception:  # pragma: no cover - consumer bug guard
-                    pass
-            self._listener = listener
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        """Next event, or ``None`` on timeout / closed-and-drained stream."""
-        if self._terminated and self._queue.empty():
-            return None
-        try:
-            event = self._queue.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-        if event.get("event") in _TERMINAL_EVENTS:
-            self._terminated = True
-        return event
+            self._closed = event.get("event") in _TERMINAL_EVENTS
+            try:
+                self._listener(event)
+            except Exception:  # pragma: no cover - consumer bug guard
+                pass
 
     def close(self) -> None:
-        """Stop accepting events (the consumer went away)."""
-        self._closed.set()
+        """Stop delivering events (the consumer went away)."""
+        self._closed = True
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._closed
 
 
 class SolverService:
@@ -400,27 +353,11 @@ class SolverService:
         #: id(ticket) -> request_id, for routing pool progress samples from a
         #: (possibly coalesced) job to every attached request's subscribers.
         self._ticket_requests: Dict[int, str] = {}
-        #: scheduler Job -> pool handle, for cancellation of running jobs.
-        self._job_handles: Dict[int, PoolJobHandle] = {}
-        #: scheduler Job -> slot permits it holds (portfolio jobs hold more).
-        self._job_permits: Dict[int, int] = {}
         self._dispatch_thread: Optional[threading.Thread] = None
         # Startup claim + completion signal: the slow process spawns in
         # start() run outside _lock (see start()'s docstring).
         self._start_claimed = False
         self._started = threading.Event()
-        # One permit per walks_per_job workers: jobs stay *queued in the
-        # scheduler* (where they count toward max_depth and remain
-        # coalescable/cancellable) until worker slots free up, instead of
-        # draining into the pool's FIFO, which neither coalesces nor
-        # prioritises.  An ordinary job takes one permit; a portfolio job
-        # takes one permit per walks_per_job walks it fans out (capped at
-        # the pool), so heterogeneous requests cannot oversubscribe the
-        # workers behind the semaphore's back.
-        self._total_slots = max(
-            1, self.pool.n_workers // max(1, self.config.walks_per_job)
-        )
-        self._slots = threading.Semaphore(self._total_slots)
         # Validate the configured default solver once, at construction: a
         # typo must fail fast here, not on the first request or stats() call.
         self._default_solver_label = portfolio_label(
@@ -441,16 +378,6 @@ class SolverService:
         if self.lanes is not None:
             for spec in self.lanes:
                 self._latency[spec.name] = LatencyHistogram()
-        #: Worker-slot permits currently held by non-interactive jobs; the
-        #: dispatcher uses it to always hold one slot back for the
-        #: interactive lane (lane-aware slot reservation).
-        self._nonint_permits = 0
-        self._reserved_lanes: Optional[Tuple[str, ...]] = (
-            (INTERACTIVE,)
-            if self.lanes is not None
-            and any(spec.name == INTERACTIVE for spec in self.lanes)
-            else None
-        )
         #: Per-family observability: requests and solved responses by tier.
         self._kinds: Dict[str, Dict[str, int]] = {}
         # Per-solver observability: requests by requested portfolio label,
@@ -693,7 +620,6 @@ class SolverService:
                     "error": "service shut down",
                 }
             )
-            sub.close()
         self.store.close()
 
     @property
@@ -1214,28 +1140,41 @@ class SolverService:
 
     # ----------------------------------------------------------------- dispatch
     def _dispatch_loop(self) -> None:
-        """Move jobs from the scheduler onto the worker pool, slot-gated.
+        """Move jobs from the scheduler onto the worker pool as workers free up.
 
-        Lane-aware slot reservation: with QoS lanes enabled, once
-        non-interactive jobs hold all but one worker slot, the remaining
-        slot only accepts interactive work — a flooded batch/background
-        queue can saturate at most ``total_slots - 1`` workers, so an
-        interactive fresh solve always finds capacity within one job's
-        service time.
+        The pool's idle workers are the only record of capacity: a job
+        leaves the scheduler (where it counts toward the depth bounds and
+        stays coalescable and cancellable) only once ``need`` workers are
+        free beyond the walks already waiting in the pool's FIFO, so no
+        later job overtakes a wide portfolio's waiting walks.  A portfolio
+        wider than ``walks_per_job`` starts as soon as ``need`` workers are
+        free; its other walks run as workers free up.
+
+        Lane-aware reservation: with an interactive lane and room for two
+        jobs, once non-interactive walks hold all but ``need`` workers only
+        the interactive lane is popped, so a flooded batch/background queue
+        never takes the last ``need`` workers and an interactive fresh solve
+        finds capacity within one job's service time.
         """
+        n_workers = self.pool.n_workers
+        need = min(max(1, self.config.walks_per_job), n_workers)
+        reserve = (
+            INTERACTIVE in self.scheduler.lane_order and n_workers >= 2 * need
+        )
         while True:
-            if not self._slots.acquire(timeout=0.2):
+            lanes = self.pool.wait_for_capacity(need, timeout=0.2)
+            if lanes is None:
                 if self.scheduler.closed:
                     return
                 continue
             only_lanes: Optional[Tuple[str, ...]] = None
-            if self._reserved_lanes is not None and self._total_slots > 1:
-                with self._lock:
-                    if self._nonint_permits >= self._total_slots - 1:
-                        only_lanes = self._reserved_lanes
+            if reserve and (
+                sum(n for lane, n in lanes.items() if lane != INTERACTIVE)
+                >= n_workers - need
+            ):
+                only_lanes = (INTERACTIVE,)
             job = self.scheduler.next_job(timeout=0.2, only_lanes=only_lanes)
             if job is None:
-                self._slots.release()
                 if self.scheduler.closed:
                     return
                 continue
@@ -1249,57 +1188,21 @@ class SolverService:
             # race; a larger walks_per_job fans each member out over seeds too.
             solver = job.payload.get("solver")
             members = len(solver) if isinstance(solver, (list, tuple)) else 1
-            walks = max(self.config.walks_per_job, members)
-            # The permit already held covers walks_per_job walks; a wider
-            # portfolio job pays for the extra workers it occupies (capped at
-            # the whole pool so an oversized portfolio throttles rather than
-            # deadlocks), keeping the slot-gating backpressure honest.
-            walks_per_permit = max(1, self.config.walks_per_job)
-            permits = min(-(-walks // walks_per_permit), self._total_slots)
-            # Waiting here holds up later (possibly narrower) jobs — the
-            # dispatch order is deliberately FIFO-by-priority, a wide
-            # portfolio is not allowed to be overtaken into starvation — but
-            # a job whose every ticket was cancelled must not keep hoarding
-            # permits nobody is waiting on.
-            extra_held = 0
-            abort: Optional[BaseException] = None
-            while extra_held < permits - 1:
-                if self.scheduler.closed:
-                    abort = SolverError("service is closed")
-                    break
-                if not job.tickets:
-                    abort = CancelledError()
-                    break
-                if self._slots.acquire(timeout=0.2):
-                    extra_held += 1
-            if abort is not None:
-                for _ in range(extra_held + 1):
-                    self._slots.release()
-                self.scheduler.fail(job, abort)
-                if self.scheduler.closed:
-                    return
-                continue
             try:
                 handle = self.pool.submit(
                     job.payload,
-                    walks=walks,
+                    walks=max(self.config.walks_per_job, members),
                     on_done=lambda h, job=job: self._on_pool_done(job, h),
                     on_progress=lambda h, sample, job=job: self._on_job_progress(
                         job, sample
                     ),
                 )
             except ReproError as exc:
-                for _ in range(permits):
-                    self._slots.release()
                 self.scheduler.fail(job, exc)
                 continue
-            with self._lock:
-                self._job_handles[id(job)] = handle
-                self._job_permits[id(job)] = permits
-                if self._reserved_lanes is not None and job.lane != INTERACTIVE:
-                    self._nonint_permits += permits
+            job.handle = handle
             # A cancellation that landed between next_job() and the handle
-            # registration above found nothing to abort; re-check now that
+            # assignment above found nothing to abort; re-check now that
             # the handle is visible so the walk doesn't run (for up to its
             # whole time budget) with nobody waiting.
             if not job.tickets:
@@ -1314,13 +1217,7 @@ class SolverService:
         counts as a success; cancellations and deadline expiries count as
         neither (they say nothing about the instance's health).
         """
-        with self._lock:
-            self._job_handles.pop(id(job), None)
-            permits = self._job_permits.pop(id(job), 1)
-            if self._reserved_lanes is not None and job.lane != INTERACTIVE:
-                self._nonint_permits -= permits
-        for _ in range(permits):
-            self._slots.release()
+        job.handle = None  # settled: nothing left to abort or retain
         breaker_key = (job.payload["kind"], int(job.payload["order"]))
         best = handle.best
         if handle.cancelled and (best is None or not best.solved):
@@ -1399,20 +1296,24 @@ class SolverService:
         )
 
     # ------------------------------------------------------------ progress fan-out
-    def subscribe(self, request_id: str) -> Optional[ProgressSubscription]:
-        """Open a live event stream for *request_id*; ``None`` when unknown.
+    def subscribe(
+        self, request_id: str, listener: Callable[[Dict[str, Any]], None]
+    ) -> Optional[ProgressSubscription]:
+        """Send *request_id*'s live events to *listener*; ``None`` when the
+        id is unknown.
 
         The stream starts with a ``"status"`` snapshot, carries throttled
         ``"progress"`` samples while the search tier works (shared solves fan
         the same samples out to every coalesced subscriber), and ends with
         exactly one terminal event.  A subscription to an already-settled
-        request gets its snapshot and terminal event immediately.
+        request gets its snapshot and terminal event immediately, before
+        ``subscribe`` returns.
         """
         with self._lock:
             request = self._requests.get(request_id)
         if request is None:
             return None
-        sub = ProgressSubscription(request_id)
+        sub = ProgressSubscription(request_id, listener)
         sub.push(
             {
                 "event": "status",
@@ -1466,7 +1367,6 @@ class SolverService:
         event = self._terminal_event(request.request_id, fut)
         for sub in subs:
             sub.push(event)
-            sub.close()
 
     def _on_job_progress(self, job: Job, sample: Dict[str, Any]) -> None:
         """Pool collector hook: fan one walk's progress sample out to every
@@ -1486,8 +1386,7 @@ class SolverService:
 
     def _abort_running_job(self, job: Job) -> None:
         """Scheduler callback: the last ticket of a running job was cancelled."""
-        with self._lock:
-            handle = self._job_handles.get(id(job))
+        handle = job.handle
         if handle is not None:
             self.pool.cancel(handle)
 

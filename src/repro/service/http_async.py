@@ -738,7 +738,13 @@ class AsyncServiceHTTPServer:
         request_id: str,
     ) -> None:
         """Stream one request's progress as server-sent events."""
-        subscription = await self._call(self.service.subscribe, request_id)
+        loop = asyncio.get_running_loop()
+        events: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
+        subscription = await self._call(
+            self.service.subscribe,
+            request_id,
+            lambda event: loop.call_soon_threadsafe(events.put_nowait, event),
+        )
         if subscription is None:
             writer.write(
                 self._json_bytes(
@@ -747,11 +753,6 @@ class AsyncServiceHTTPServer:
             )
             await writer.drain()
             return
-        loop = asyncio.get_running_loop()
-        events: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
-        subscription.set_listener(
-            lambda event: loop.call_soon_threadsafe(events.put_nowait, event)
-        )
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"

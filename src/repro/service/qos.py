@@ -31,7 +31,7 @@ import threading
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BACKGROUND",
@@ -328,7 +328,3 @@ class LatencyHistogram:
                 value = self.percentile(pct)
                 out[key] = round((value or 0.0) * 1e3, 3)
         return out
-
-
-def lane_names(lanes: Iterable[LaneSpec]) -> Tuple[str, ...]:
-    return tuple(spec.name for spec in lanes)

@@ -127,6 +127,9 @@ class Job:
     #: from a more valuable lane) and the tenant that created the job.
     lane: str = DEFAULT_LANE
     tenant: str = DEFAULT_TENANT
+    #: The worker pool's handle on the job while it runs (set by the
+    #: service's dispatcher), so a cancelled running job can be aborted.
+    handle: Any = None
 
     @property
     def width(self) -> int:

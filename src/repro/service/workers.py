@@ -11,10 +11,11 @@ cancels, respawns and requeues per slot.
 Each slot is one worker process with one duplex pipe and a cancel
 ``multiprocessing.Event`` of its own.  Walks that wait for a worker sit in
 the pool's FIFO; the collector thread sends each one to an idle slot, so the
-pool always knows which slot runs which walk, and cancelling a job simply
-sets its slots' events, which the engine observes through its
-``stop_check`` hook.  The collector is the only user of the pipes: it blocks
-in :func:`multiprocessing.connection.wait` on them, reads progress samples
+pool always knows which slot runs which walk and which workers are free
+(:meth:`WorkerPool.wait_for_capacity`), and cancelling a job simply sets
+its slots' events, which the engine observes through its ``stop_check``
+hook.  The collector is the only user of the pipes: it blocks in
+:func:`multiprocessing.connection.wait` on them, reads progress samples
 and reports, and sees a worker's death as EOF on its pipe (a pipe send is
 synchronous, so nothing the worker sent is still in flight).  It then
 requeues the walk (bounded retries) and respawns the slot after the retry
@@ -315,9 +316,14 @@ class WorkerPool:
         self._incarnations = [0] * n
         #: Walks waiting for a worker, oldest first: ``(ready_at, handle,
         #: walk_index, spec)``; a requeued walk is ready after its backoff.
+        #: Only walks that will run wait here: a job's waiting walks are
+        #: dropped when it is cancelled or settles.
         self._waiting: List[Tuple[float, PoolJobHandle, int, Dict[str, Any]]] = []
         self._lock = threading.RLock()
-        self._all_settled = threading.Condition(self._lock)
+        #: Notified whenever a worker may have become free (a slot spawned, a
+        #: walk reported, waiting walks were dropped), a job settled, or
+        #: shutdown began.
+        self._changed = threading.Condition(self._lock)
         self._jobs: Dict[int, PoolJobHandle] = {}
         self._job_ids = iter(range(1, 1 << 62))
         self._seed_seq = np.random.SeedSequence(seed_root)
@@ -396,6 +402,7 @@ class WorkerPool:
             self._conns[slot] = conn
             self._cancel_events[slot] = cancel_event
             self._respawn_at[slot] = None
+            self._changed.notify_all()
 
     def __enter__(self) -> "WorkerPool":
         self.start()
@@ -477,6 +484,52 @@ class WorkerPool:
         children = self._seed_seq.spawn(count)
         return [int(child.generate_state(1, dtype=np.uint64)[0] % (2**63)) for child in children]
 
+    # ---------------------------------------------------------------- capacity
+    def wait_for_capacity(
+        self, need: int, timeout: Optional[float] = None
+    ) -> Optional[Dict[str, int]]:
+        """Block until *need* live workers are idle beyond the walks already
+        waiting for one; return how many walks each lane holds, running or
+        waiting.
+
+        Returns ``None`` on timeout or once shutdown began.  A walk of a
+        settled job still counts until it reports.  The answer is a
+        snapshot: a worker may die, or a walk be requeued, before the caller
+        submits.
+        """
+        with self._changed:
+            free = self._changed.wait_for(
+                lambda: self._closing
+                or len(self._idle_slots_locked()) - len(self._waiting) >= need,
+                timeout,
+            )
+            if not free or self._closing:
+                return None
+            lanes: Dict[str, int] = {}
+            held = [current[0] for current in self._current if current is not None]
+            for handle in held + [entry[1] for entry in self._waiting]:
+                lane = str(handle.spec.get("lane") or "default")
+                lanes[lane] = lanes.get(lane, 0) + 1
+            return lanes
+
+    def _idle_slots_locked(self) -> List[int]:
+        """Slots with a live worker and no walk (caller holds the lock)."""
+        return [
+            slot
+            for slot, conn in enumerate(self._conns)
+            if conn is not None and self._current[slot] is None
+        ]
+
+    def _drop_waiting_locked(self, handle: PoolJobHandle) -> int:
+        """Drop *handle*'s waiting walks; returns how many (caller holds the
+        lock)."""
+        kept = [entry for entry in self._waiting if entry[1] is not handle]
+        dropped = len(self._waiting) - len(kept)
+        if dropped:
+            self._waiting = kept
+            self._changed.notify_all()
+        return dropped
+
     # ------------------------------------------------------------------ cancel
     def cancel(self, handle: PoolJobHandle) -> None:
         """Abort a job: running walks are signalled, waiting walks dropped.
@@ -489,9 +542,7 @@ class WorkerPool:
             if handle.settled:
                 return
             handle.cancelled = True
-            kept = [entry for entry in self._waiting if entry[1] is not handle]
-            handle.outstanding -= len(self._waiting) - len(kept)
-            self._waiting = kept
+            handle.outstanding -= self._drop_waiting_locked(handle)
             events = [self._cancel_events[slot] for slot in handle.running.values()]
             settle = handle.outstanding <= 0 and self._settle_locked(handle)
         _set_all(events)
@@ -561,23 +612,14 @@ class WorkerPool:
     def _dispatch(self) -> Optional[float]:
         """Send ready waiting walks to idle slots, oldest first.
 
-        Walks of settled or cancelled jobs are dropped unsent.  Returns when
-        the next delayed walk gets ready if a slot is idle for it, else
-        ``None`` (a report wakes the collector when a slot frees up).
+        Returns when the next delayed walk gets ready if a slot is idle for
+        it, else ``None`` (a report wakes the collector when a slot frees
+        up).
         """
         while True:
             now = time.monotonic()
             with self._lock:
-                self._waiting = [
-                    entry
-                    for entry in self._waiting
-                    if not (entry[1].settled or entry[1].cancelled)
-                ]
-                idle = [
-                    slot
-                    for slot, conn in enumerate(self._conns)
-                    if conn is not None and self._current[slot] is None
-                ]
+                idle = self._idle_slots_locked()
                 ready = [i for i, entry in enumerate(self._waiting) if entry[0] <= now]
                 if not idle or not ready:
                     return min((e[0] for e in self._waiting), default=None) if idle else None
@@ -619,6 +661,7 @@ class WorkerPool:
         with self._lock:
             handle, walk_index = self._current[slot]
             self._current[slot] = None
+            self._changed.notify_all()
             self._deaths[slot] = 0
             handle.running.pop(walk_index, None)
             handle.claimed_at.pop(walk_index, None)
@@ -684,14 +727,15 @@ class WorkerPool:
             handle.on_done(handle)
 
     def _settle_locked(self, handle: PoolJobHandle) -> bool:
-        """Mark *handle* settled exactly once; returns whether we won the race."""
+        """Mark *handle* settled exactly once, dropping its waiting walks;
+        returns whether we won the race."""
         if handle.settled:
             return False
         handle.settled = True
+        self._drop_waiting_locked(handle)
         self._jobs.pop(handle.job_id, None)
         self._jobs_done += 1
-        if not self._jobs:
-            self._all_settled.notify_all()
+        self._changed.notify_all()
         return True
 
     def _requeue_locked(self, handle: PoolJobHandle, walk_index: int) -> None:
@@ -769,13 +813,15 @@ class WorkerPool:
             if not drain:
                 for handle in self._jobs.values():
                     handle.cancelled = True
+                self._waiting = []
                 # None: a slot whose first spawn is still under way.
                 events = [e for e in self._cancel_events if e is not None]
+            self._changed.notify_all()
         _set_all(events)
         deadline = time.perf_counter() + timeout
         if drain:
             with self._lock:
-                self._all_settled.wait_for(lambda: not self._jobs, timeout=timeout)
+                self._changed.wait_for(lambda: not self._jobs, timeout=timeout)
         with self._lock:
             self._stopping = True
         self._wake()

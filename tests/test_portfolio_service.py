@@ -129,8 +129,8 @@ class TestServiceSolverSelection:
             SolverService(ServiceConfig(default_solver="typo"))
 
     def test_wide_portfolio_on_small_pool_completes(self):
-        # A 4-member portfolio on a 2-worker pool must throttle through the
-        # slot gate (permits capped at the pool), not deadlock or oversubscribe.
+        # A 4-member portfolio on a 2-worker pool runs its walks as workers
+        # free up, without deadlocking or oversubscribing the pool.
         config = ServiceConfig(
             n_workers=2, use_constructions=False, default_max_time=60.0
         )

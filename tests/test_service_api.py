@@ -68,6 +68,14 @@ time.sleep(600)
 """
 
 
+def _wait_until(predicate, timeout: float = 30.0) -> None:
+    """Poll *predicate* until it holds; fail after *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
 def _running(pid: int) -> bool:
     """Whether *pid* is a live process; a zombie awaiting its reaper is not."""
     try:
@@ -283,7 +291,8 @@ class TestWorkerPool:
     def test_every_job_settles_once_under_concurrent_submit_and_cancel(self):
         """Four client threads submit and cancel against more workers than
         cores, with a short switch interval: every job settles exactly once,
-        whether a cancel dropped its waiting walks or aborted a sent one."""
+        whether a cancel dropped its waiting walks or aborted a sent one, and
+        the pool ends with every worker free."""
         settled = []
         handles = []
         lock = threading.Lock()
@@ -320,12 +329,47 @@ class TestWorkerPool:
             while len(settled) < len(handles) and time.monotonic() < deadline:
                 time.sleep(0.01)
             stats = pool.stats()
+            # Every worker frees up once the aborted walks have reported, and
+            # no walk of a settled job is left waiting for one.
+            held = pool.wait_for_capacity(3, timeout=30)
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(drain=False, timeout=10.0)
         assert sorted(settled) == sorted(h.job_id for h in handles)
         assert len(handles) == 80
         assert stats["jobs_done"] == 80 and stats["inflight_jobs"] == 0
+        assert held == {}
+
+    def test_wait_for_capacity_counts_walks_waiting_for_a_worker(self):
+        spec = {
+            "kind": "costas",
+            "order": 16,
+            "max_time": 300.0,
+            "lane": "batch",
+            "solver": {"name": "compiled", "params": {"target_cost": -1}},
+        }
+        settled = queue_module.Queue()
+        pool = WorkerPool(2, seed_root=9)
+        pool.start()
+        try:
+            assert pool.wait_for_capacity(2, timeout=30) == {}
+            first = pool.submit(spec, on_done=settled.put)
+            assert pool.wait_for_capacity(1, timeout=30) == {"batch": 1}
+            # Two more walks: one runs, one waits, so no worker is free.
+            second = pool.submit(spec, walks=2, on_done=settled.put)
+            assert pool.wait_for_capacity(1, timeout=0.1) is None
+            pool.cancel(first)
+            pool.cancel(second)
+            assert {settled.get(timeout=30).job_id for _ in range(2)} == {
+                first.job_id,
+                second.job_id,
+            }
+            assert pool.wait_for_capacity(2, timeout=30) == {}
+        finally:
+            pool.shutdown(drain=False, timeout=10.0)
+        start = time.monotonic()
+        assert pool.wait_for_capacity(1, timeout=30) is None
+        assert time.monotonic() - start < 1.0
 
     def test_unpicklable_spec_fails_its_job_not_the_pool(self):
         outcomes = queue_module.Queue()
@@ -527,7 +571,8 @@ class TestCancellationAndBackpressure:
         )
         with SolverService(config) as svc:
             svc.submit(23, use_constructions=False, use_store=False)
-            time.sleep(0.3)  # let the dispatcher drain the first into RUNNING
+            # The dispatcher hands the first to the pool (it leaves the queue).
+            _wait_until(lambda: svc.stats()["searches_dispatched"] == 1)
             svc.submit(24, use_constructions=False, use_store=False)
             with pytest.raises(SchedulerSaturatedError):
                 svc.submit(25, use_constructions=False, use_store=False)
@@ -543,6 +588,94 @@ class TestCancellationAndBackpressure:
         svc.close(drain=False, timeout=10.0)
         with pytest.raises((SolverError, CancelledError)):
             request.result(timeout=5)
+
+
+def _submit_returns_after_settling(pool: WorkerPool) -> None:
+    """Make ``pool.submit`` return only once the job's ``on_done`` has run,
+    like a dispatcher descheduled right after handing a job over while one
+    of its walks solves at once."""
+    original = pool.submit
+
+    def submit(spec, *, on_done, **kwargs):
+        settled = threading.Event()
+
+        def done(handle):
+            try:
+                on_done(handle)
+            finally:
+                settled.set()
+
+        handle = original(spec, on_done=done, **kwargs)
+        settled.wait(timeout=60)
+        return handle
+
+    pool.submit = submit
+
+
+class TestDispatch:
+    """The dispatcher hands a job to the pool only when the pool has a free
+    worker for it, and it keeps no count of its own that could drift."""
+
+    def _portfolio(self, service, **kwargs):
+        return service.submit(
+            6, kind="queens", solver="adaptive+tabu", use_store=False, **kwargs
+        ).result(timeout=10)
+
+    def test_portfolio_settling_inside_submit_leaves_capacity(self):
+        # Regression: a portfolio job that settled before the dispatcher's
+        # bookkeeping after submit() lost a worker for good, so the next
+        # portfolio never started.
+        config = ServiceConfig(n_workers=2, use_constructions=False)
+        with SolverService(config) as service:
+            _submit_returns_after_settling(service.pool)
+            for _ in range(2):
+                response = self._portfolio(service)
+                assert response.solved and response.detail["walks"] == 2
+
+    def test_batch_lane_runs_after_portfolios_settled_inside_submit(self):
+        # Regression: the same race counted the settled portfolios' workers
+        # as held by the batch lane, so a batch search stayed queued behind
+        # the interactive-lane reservation.
+        config = ServiceConfig(n_workers=3, use_constructions=False, lanes=True)
+        with SolverService(config) as service:
+            _submit_returns_after_settling(service.pool)
+            for _ in range(2):
+                assert self._portfolio(service, lane="batch").solved
+            request = service.submit(9, use_store=False, lane="batch")
+            assert request.result(timeout=5).solved
+
+    def test_interactive_lane_keeps_a_worker_from_background_work(self):
+        config = ServiceConfig(
+            n_workers=2, use_constructions=False, lanes=True, default_max_time=120.0
+        )
+        # Background walks that never reach their target: each holds its
+        # worker until cancelled.
+        unreachable = {"name": "compiled", "params": {"target_cost": -1}}
+        with SolverService(config) as service:
+            background = [
+                service.submit(
+                    order, use_store=False, lane="background", solver=unreachable
+                )
+                for order in (16, 17)
+            ]
+            _wait_until(lambda: service.stats()["searches_dispatched"] == 1)
+            interactive = service.submit(9, use_store=False, lane="interactive")
+            assert interactive.result(timeout=60).solved
+            assert service.scheduler.pending_jobs("background") == 1
+            for request in background:
+                assert service.cancel(request.request_id)
+
+    @pytest.mark.parametrize("walks_per_job", [2, 3])
+    def test_walks_per_job_fans_each_job_out(self, walks_per_job):
+        # Three walks on two workers: the dispatcher waits for both workers,
+        # not for a third it will never get.
+        config = ServiceConfig(
+            n_workers=2, use_constructions=False, walks_per_job=walks_per_job
+        )
+        with SolverService(config) as service:
+            response = service.submit(9, use_store=False).result(timeout=60)
+            assert response.solved
+            assert response.detail["walks"] == walks_per_job
 
 
 class TestBatchSubmit:
@@ -690,16 +823,17 @@ class TestProgressSubscriptions:
     def test_subscribe_to_settled_request_gets_snapshot_and_done(self, service):
         request = service.submit(12)
         request.result(timeout=10)
-        sub = service.subscribe(request.request_id)
+        events = queue_module.Queue()
+        sub = service.subscribe(request.request_id, events.put)
         assert sub is not None
-        first = sub.get(timeout=1)
+        first = events.get(timeout=1)
         assert first["event"] == "status" and first["status"] == "done"
-        terminal = sub.get(timeout=1)
+        terminal = events.get(timeout=1)
         assert terminal["event"] == "done" and terminal["solved"]
-        assert sub.get(timeout=0.1) is None
+        assert events.empty()
 
     def test_unknown_request_id_returns_none(self, service):
-        assert service.subscribe("ghost") is None
+        assert service.subscribe("ghost", queue_module.Queue().put) is None
 
     def test_search_request_streams_progress_and_cleans_up(self, tmp_path):
         # The walk's target cost of -1 is unreachable, so it never finishes
@@ -722,16 +856,16 @@ class TestProgressSubscriptions:
             solver={"name": "compiled", "params": {"target_cost": -1}},
             max_time=1.0,
         )
-        sub = service.subscribe(request.request_id)
+        stream = queue_module.Queue()
+        sub = service.subscribe(request.request_id, stream.put)
         assert sub is not None
         assert service.stats()["progress_subscribers"] == 1
         events = []
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            event = sub.get(timeout=1.0)
-            if event is None:
-                if events and events[-1]["event"] == "done":
-                    break
+            try:
+                event = stream.get(timeout=1.0)
+            except queue_module.Empty:
                 continue
             events.append(event)
             if event["event"] == "done":
@@ -744,7 +878,7 @@ class TestProgressSubscriptions:
 
     def test_unsubscribe_releases_registration(self, service):
         request = service.submit(15, use_constructions=False, use_store=False)
-        sub = service.subscribe(request.request_id)
+        sub = service.subscribe(request.request_id, queue_module.Queue().put)
         assert service.stats()["progress_subscribers"] == 1
         service.unsubscribe(sub)
         assert service.stats()["progress_subscribers"] == 0
@@ -759,14 +893,18 @@ class TestProgressSubscriptions:
             for order in (20, 21)
         ]
         request = service.submit(22, use_constructions=False, use_store=False)
-        sub = service.subscribe(request.request_id)
-        assert sub.get(timeout=1)["event"] == "status"
+        events = queue_module.Queue()
+        service.subscribe(request.request_id, events.put)
+        assert events.get(timeout=1)["event"] == "status"
         assert service.cancel(request.request_id)
         deadline = time.monotonic() + 10
         terminal = None
         while time.monotonic() < deadline:
-            event = sub.get(timeout=0.5)
-            if event is not None and event["event"] in ("cancelled", "done", "failed"):
+            try:
+                event = events.get(timeout=0.5)
+            except queue_module.Empty:
+                continue
+            if event["event"] in ("cancelled", "done", "failed"):
                 terminal = event
                 break
         assert terminal is not None and terminal["event"] == "cancelled"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import queue as queue_module
 import re
 import signal
 import socket
@@ -518,15 +519,19 @@ class TestWorkerChaos:
             request = service.submit(
                 9, use_store=False, use_constructions=False
             )
-            subscription = service.subscribe(request.request_id)
+            events = queue_module.Queue()
+            subscription = service.subscribe(request.request_id, events.put)
             assert subscription is not None
             terminal = None
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
-                event = subscription.get(timeout=1.0)
-                if event is None and subscription.closed:
-                    break
-                if event and event["event"] in ("done", "failed", "cancelled"):
+                try:
+                    event = events.get(timeout=1.0)
+                except queue_module.Empty:
+                    if subscription.closed:
+                        break
+                    continue
+                if event["event"] in ("done", "failed", "cancelled"):
                     terminal = event
                     break
             assert terminal is not None and terminal["event"] == "failed"
